@@ -37,7 +37,8 @@ from ..core.costs import CostModel, distribution_cost
 from ..core.critical_works import SchedulingOutcome
 from ..core.job import Job
 from ..core.resources import ResourcePool
-from ..core.schedule import Distribution, Placement, check_distribution
+from ..core.schedule import (Distribution, Placement, booking_tag,
+                             check_distribution)
 from ..core.strategy import Strategy
 from ..core.transfers import NeutralTransferModel, TransferModel, \
     transfer_time_fn
@@ -261,7 +262,8 @@ def verify_coallocation(distributions: Iterable[Distribution],
     background ``calendars`` are given, placements clashing with
     foreign reservations (e.g. the independent-flow load) are also
     capacity overcommits — unless the calendar entry is the placement's
-    own booking (matching task tag and interval).
+    own booking (its :func:`~repro.core.schedule.booking_tag` and
+    interval).
     """
     report = VerificationReport(subject="coallocation")
     by_node: dict[int, list[tuple[str, Placement]]] = {}
@@ -297,7 +299,8 @@ def verify_coallocation(distributions: Iterable[Distribution],
         for job_id, placement in entries:
             for reservation in calendars[node_id].conflicts(
                     placement.start, placement.end):
-                if (reservation.tag == placement.task_id
+                if (reservation.tag == booking_tag(job_id,
+                                                   placement.task_id)
                         and reservation.start == placement.start
                         and reservation.end == placement.end):
                     continue  # the placement's own booking

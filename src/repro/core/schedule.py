@@ -19,7 +19,7 @@ from .job import DataTransfer, Job
 from .resources import ProcessorNode, ResourcePool
 
 __all__ = ["Placement", "Distribution", "ScheduleViolation",
-           "check_distribution"]
+           "booking_tag", "check_distribution"]
 
 #: Signature of a transfer-time model: slots needed for a transfer whose
 #: endpoints run on the given (possibly identical) nodes.
@@ -32,6 +32,15 @@ def neutral_transfer_time(transfer: DataTransfer, src_node: ProcessorNode,
     if src_node.node_id == dst_node.node_id:
         return 0
     return transfer.base_time
+
+
+def booking_tag(job_id: str, task_id: str) -> str:
+    """The calendar tag a committed placement is booked under.
+
+    ``<job_id>:<task_id>``; with an empty ``task_id`` it is the prefix
+    every booking of the job shares (what releasing the job matches).
+    """
+    return f"{job_id}:{task_id}"
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ schedules (the dynamic reallocation mechanism) before re-planning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Generic, Optional, TypeVar
 
 from ..core.context import SchedulingContext
 from ..core.job import Job
@@ -23,7 +23,8 @@ from .economics import InsufficientBudget, VOEconomics
 from .manager import JobManager
 from .sharding import plan_with_cache
 
-__all__ = ["FlowRecord", "PlannedDispatch", "Metascheduler"]
+__all__ = ["FlowRecord", "PlannedDispatch", "Commitment",
+           "choose_commit", "Metascheduler"]
 
 
 @dataclass
@@ -38,7 +39,8 @@ class FlowRecord:
     #: The supporting schedule actually committed.
     chosen: Optional[SupportingSchedule]
     committed: bool
-    #: Supporting-schedule switches needed at commit time (reallocation).
+    #: Supporting-schedule switches needed at commit time (reallocation),
+    #: summed over every replan attempt.
     reallocations: int = 0
     charge: Optional[float] = None
     #: Why the job was not committed ("inadmissible", "conflict",
@@ -60,11 +62,69 @@ class PlannedDispatch:
     release: int
     manager: Optional["JobManager"]
     strategy: Optional[Strategy]
-    #: The manager subset the job was planned against (None = the whole
-    #: VO).  Sharded lanes route each job to its shard's managers;
-    #: conflict replans must compete over the same subset, or a retry
-    #: could silently widen a job's shard.
-    candidates: Optional[tuple["JobManager", ...]] = None
+
+    @property
+    def offer(self) -> Optional[tuple["JobManager", Strategy]]:
+        """``(manager, strategy)``, or None when nothing was offered."""
+        if self.manager is None or self.strategy is None:
+            return None
+        return self.manager, self.strategy
+
+
+Owner = TypeVar("Owner")
+
+
+@dataclass
+class Commitment(Generic[Owner]):
+    """The variant :func:`choose_commit` settled on; nothing is booked.
+
+    ``owner``/``strategy`` belong to the last offer tried (None when a
+    replan found no admissible offer); ``chosen`` is None unless a
+    variant still fits the environment, and ``reason`` then says why
+    (``"conflict"`` / ``"inadmissible"``)."""
+
+    owner: Optional[Owner]
+    strategy: Optional[Strategy]
+    chosen: Optional[SupportingSchedule]
+    #: Supporting-schedule switches, summed over every attempt.
+    reallocations: int = 0
+    #: Full replans after every variant of an offer was stolen.
+    replans: int = 0
+    reason: str = ""
+
+
+def choose_commit(grid: GridEnvironment, owner: Owner, strategy: Strategy,
+                  replan: Callable[[], Optional[tuple[Owner, Strategy]]],
+                  retries: int) -> Commitment[Owner]:
+    """The commit discipline shared by every flow lane.
+
+    The paper's dynamic reallocation: try the offer's admissible
+    supporting schedules cheapest first (cost, then makespan) against
+    the live calendars; when the environment drifted since planning
+    and every variant was stolen, ask ``replan`` for a fresh
+    ``(owner, strategy)`` offer — up to ``retries`` times.  ``owner``
+    is whatever the caller identifies an offer's domain by; it is
+    handed back untouched.  Books nothing: each caller books the
+    chosen variant its own way.
+    """
+    reallocations = replans = 0
+    while True:
+        variants = sorted(strategy.admissible_schedules(),
+                          key=lambda s: (s.outcome.cost, s.outcome.makespan))
+        for variant in variants:
+            if grid.can_commit(variant.distribution):
+                return Commitment(owner, strategy, variant,
+                                  reallocations, replans)
+            reallocations += 1
+        if replans >= retries:
+            return Commitment(owner, strategy, None, reallocations,
+                              replans, reason="conflict")
+        replans += 1
+        offer = replan()
+        if offer is None:
+            return Commitment(None, None, None, reallocations, replans,
+                              reason="inadmissible")
+        owner, strategy = offer
 
 
 class Metascheduler:
@@ -165,137 +225,79 @@ class Metascheduler:
         batch = self.pending()
         for stype in self.flows:
             self.flows[stype] = []
-        records = [self._dispatch_one(job, stype, release)
-                   for job, stype in batch]
-        self.records.extend(records)
-        return records
+        return [self.commit_planned(self.plan_job(job, stype, release))
+                for job, stype in batch]
 
-    def _dispatch_one(self, job: Job, stype: StrategyType,
-                      release: int) -> FlowRecord:
-        return self._finish(self.plan_job(job, stype, release))
-
-    def _plan_for(self, manager: JobManager, job: Job, stype: StrategyType,
-                  release: int, calendars) -> Strategy:
-        """Plan through the graded semantic plan cache.
-
-        Delegates to :func:`repro.flow.sharding.plan_with_cache` — the
-        one implementation of the exact-hit → warm-repair →
-        coarse-seed → cold-miss ladder shared with the shard planners.
-        The grid stays the epoch authority here (snapshot calendars
-        share the same content versions, so either source is exact).
-        """
-        epochs = self.grid.epoch_slice(manager.pool.node_ids())
-        return plan_with_cache(manager, job, stype, release, calendars,
-                               self.context.plans, epochs=epochs)
-
-    def plan_job(self, job: Job, stype: StrategyType, release: int,
-                 managers: Optional[Sequence[JobManager]] = None
-                 ) -> PlannedDispatch:
+    def plan_job(self, job: Job, stype: StrategyType,
+                 release: int) -> PlannedDispatch:
         """Phase one of dispatch: plan on every domain, pick the cheapest.
 
         Nothing is booked; the returned :class:`PlannedDispatch` can be
         committed later with :meth:`commit_planned`.  Plans go through
-        the epoch-keyed cache, so re-planning the same job against
-        unchanged domain calendars is free.  ``managers`` restricts the
-        offer competition to a subset (a shard's managers — the DES
-        lane's in-process sharding); the default competes over the
-        whole VO, and the restriction is remembered on the dispatch so
-        conflict replans stay inside the same shard.
+        :func:`~repro.flow.sharding.plan_with_cache` — the graded
+        semantic plan cache shared with the shard planners — so
+        re-planning the same job against unchanged domain calendars is
+        free.  The grid stays the epoch authority here (snapshot
+        calendars share the same content versions, so either source is
+        exact).
         """
         calendars = self.grid.snapshot()
-        candidates = self.managers if managers is None else list(managers)
         best: Optional[tuple[JobManager, Strategy]] = None
         best_cost = float("inf")
-        for manager in candidates:
-            strategy = self._plan_for(manager, job, stype, release,
-                                      calendars)
+        for manager in self.managers:
+            epochs = self.grid.epoch_slice(manager.pool.node_ids())
+            strategy = plan_with_cache(manager, job, stype, release,
+                                       calendars, self.context.plans,
+                                       epochs=epochs)
             chosen = strategy.best_schedule()
             if chosen is None:
                 continue
             if chosen.outcome.cost < best_cost:
                 best = (manager, strategy)
                 best_cost = chosen.outcome.cost
-        restriction = None if managers is None else tuple(managers)
         if best is None:
-            return PlannedDispatch(job, stype, release, None, None,
-                                   candidates=restriction)
-        return PlannedDispatch(job, stype, release, best[0], best[1],
-                               candidates=restriction)
+            return PlannedDispatch(job, stype, release, None, None)
+        return PlannedDispatch(job, stype, release, *best)
 
     def commit_planned(self, planned: PlannedDispatch) -> FlowRecord:
         """Phase two of dispatch: commit a previously planned job.
 
-        When the environment drifted between planning and commitment the
-        usual fallbacks apply — first across the strategy's supporting
-        schedules (reallocation), then up to ``conflict_retries``
-        replans at the *original* release.  Replans consult the plan
-        cache, so only domains whose calendars changed re-generate.
-        The outcome is appended to :attr:`records`.
+        :func:`choose_commit` picks the variant — falling back across
+        the strategy's supporting schedules, then up to
+        ``conflict_retries`` replans at the *original* release through
+        the plan cache — and this method books it: the VO economics
+        charge first (``"budget"`` when the owner cannot pay), then the
+        calendars.  The outcome is appended to :attr:`records`.
         """
-        record = self._finish(planned)
+        job, stype = planned.job, planned.stype
+        commitment: Commitment[JobManager] = Commitment(
+            None, None, None, reason="inadmissible")
+        if planned.offer is not None:
+            commitment = choose_commit(
+                self.grid, *planned.offer,
+                lambda: self.plan_job(job, stype, planned.release).offer,
+                self.conflict_retries)
+        manager, chosen = commitment.owner, commitment.chosen
+        record = FlowRecord(
+            job_id=job.job_id, stype=stype,
+            domain=None if manager is None else manager.domain,
+            strategy=commitment.strategy, chosen=None, committed=False,
+            reallocations=commitment.reallocations,
+            reason=commitment.reason)
+        if chosen is not None:
+            try:
+                if (self.economics is not None
+                        and self.economics.has_account(job.owner)):
+                    record.charge = self.economics.charge(
+                        job.owner, chosen.distribution,
+                        commitment.strategy.scheduled_job, manager.pool)
+            except InsufficientBudget:
+                record.reason = "budget"
+            else:
+                self._book(job, manager.domain, chosen)
+                record.chosen, record.committed = chosen, True
         self.records.append(record)
         return record
-
-    def _finish(self, planned: PlannedDispatch) -> FlowRecord:
-        job, stype = planned.job, planned.stype
-        if planned.manager is None:
-            return FlowRecord(job_id=job.job_id, stype=stype, domain=None,
-                              strategy=None, chosen=None, committed=False,
-                              reason="inadmissible")
-        record = self._commit(job, stype, planned.manager, planned.strategy)
-        retries = 0
-        while record.reason == "conflict" and retries < self.conflict_retries:
-            # Every variant was stolen between planning and commitment;
-            # re-plan against the drifted calendars.  Managers whose
-            # domains are untouched hit the plan cache exactly and only
-            # re-offer; the drifted domain repairs its own stale plan —
-            # the entry stored when this job was first planned seeds a
-            # warm regeneration instead of a cold replan.
-            retries += 1
-            replanned = self.plan_job(job, stype, planned.release,
-                                      managers=planned.candidates)
-            if replanned.manager is None:
-                return FlowRecord(job_id=job.job_id, stype=stype,
-                                  domain=None, strategy=None, chosen=None,
-                                  committed=False, reason="inadmissible")
-            record = self._commit(job, stype, replanned.manager,
-                                  replanned.strategy)
-        return record
-
-    def _commit(self, job: Job, stype: StrategyType, manager: JobManager,
-                strategy: Strategy) -> FlowRecord:
-        """Commit the cheapest variant that still fits the environment."""
-        variants = sorted(strategy.admissible_schedules(),
-                          key=lambda s: (s.outcome.cost, s.outcome.makespan))
-        reallocations = 0
-        for variant in variants:
-            if not self.grid.can_commit(variant.distribution):
-                # The environment drifted since planning: fall back to
-                # the next supporting schedule (reallocation mechanism).
-                reallocations += 1
-                continue
-            charge = None
-            if (self.economics is not None
-                    and self.economics.has_account(job.owner)):
-                try:
-                    charge = self.economics.charge(
-                        job.owner, variant.distribution,
-                        strategy.scheduled_job, manager.pool)
-                except InsufficientBudget:
-                    return FlowRecord(
-                        job_id=job.job_id, stype=stype,
-                        domain=manager.domain, strategy=strategy,
-                        chosen=None, committed=False,
-                        reallocations=reallocations, reason="budget")
-            self._book(job, manager.domain, variant)
-            return FlowRecord(
-                job_id=job.job_id, stype=stype, domain=manager.domain,
-                strategy=strategy, chosen=variant, committed=True,
-                reallocations=reallocations, charge=charge)
-        return FlowRecord(
-            job_id=job.job_id, stype=stype, domain=manager.domain,
-            strategy=strategy, chosen=None, committed=False,
-            reallocations=reallocations, reason="conflict")
 
     def _book(self, job: Job, domain: str,
               variant: SupportingSchedule) -> None:

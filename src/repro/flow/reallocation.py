@@ -37,8 +37,7 @@ def invalidates(event: BackgroundEvent, distribution: Distribution,
     :class:`_NodeIntervalIndex` attached to the distribution on first
     query (placements are append-once at construction, so the index
     never goes stale); the old per-event linear scan over every
-    placement dominated drift replays once speculation raised event
-    counts.
+    placement dominated drift replays at high event counts.
     """
     index = getattr(distribution, "_invalidation_index", None)
     if index is None:

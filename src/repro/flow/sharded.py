@@ -3,14 +3,14 @@
 The scaling lane of the job-flow layer.  Arrivals are grouped into
 fixed-width *windows*; each window is planned shard-by-shard against a
 frozen snapshot of the environment (the window's start state) and then
-committed in arrival order against the live calendars, with the
-metascheduler's reallocation discipline (variant fallback, then
-bounded replans) resolving whatever drifted inside the window.  Shards
-partition the VO's *nodes* (:func:`~repro.flow.sharding.
-partition_domains` assigns whole domains), so two shards can never
-race for a slot — cross-shard conflicts are structurally impossible,
-and arbitration is only ever needed between same-window jobs of one
-shard.
+committed in arrival order against the live calendars, with the flow
+layer's one commit discipline (:func:`~repro.flow.metascheduler.
+choose_commit`: variant fallback, then bounded replans) resolving
+whatever drifted inside the window.  Shards partition the VO's
+*nodes* (:func:`~repro.flow.sharding.partition_domains` assigns whole
+domains), so two shards can never race for a slot — cross-shard
+conflicts are structurally impossible, and arbitration is only ever
+needed between same-window jobs of one shard.
 
 Two planning lanes produce bit-identical results (differential-tested
 in ``tests/flow/test_sharded.py``):
@@ -43,7 +43,7 @@ parent :meth:`~repro.perf.registry.PerfRegistry.merge`-s, so
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..core.job import Job
@@ -52,6 +52,7 @@ from ..core.strategy import Strategy, StrategyType
 from ..grid.environment import GridEnvironment
 from ..perf import PERF
 from ..sim import RandomStreams
+from .metascheduler import choose_commit
 from .sharding import ShardPlanner, partition_domains, replica_calendars
 
 __all__ = ["ShardedConfig", "ShardedOutcome", "ShardedSimulation"]
@@ -480,42 +481,34 @@ class ShardedSimulation:
                       stype: StrategyType, shard_id: int,
                       domain: Optional[str], strategy: Strategy,
                       release: int) -> None:
-        """Metascheduler commit discipline against the live calendars."""
-        while True:
-            variants = sorted(
-                strategy.admissible_schedules(),
-                key=lambda s: (s.outcome.cost, s.outcome.makespan))
-            chosen = None
-            for variant in variants:
-                if self.grid.can_commit(variant.distribution):
-                    chosen = variant
-                    break
-                outcome.reallocations += 1
-            if chosen is not None:
-                self.grid.commit_distribution(chosen.distribution)
-                log = self._delta_log[shard_id]
-                for placement in chosen.distribution:
-                    log.append((placement.node_id, placement.start,
-                                placement.end))
-                outcome.committed = True
-                outcome.domain = domain
-                outcome.cost = chosen.outcome.cost
-                outcome.makespan = chosen.outcome.makespan
-                return
-            if outcome.replans >= self.config.conflict_retries:
-                outcome.reason = "conflict"
-                outcome.domain = domain
-                return
-            # Arbitration: a same-window neighbour on this shard stole
-            # every variant; replan at the live state, same shard only.
-            outcome.replans += 1
-            offer = self.planners[shard_id].plan(job, stype, release,
-                                                 self.grid.snapshot())
-            if offer is None:
-                outcome.reason = "inadmissible"
-                outcome.domain = None
-                return
-            domain, strategy = offer[0].domain, offer[1]
+        """:func:`~repro.flow.metascheduler.choose_commit` against the
+        live calendars, then book on the grid and the shard's delta log.
+
+        Offers are identified by domain name here (the worker lane ships
+        no managers back).  A replan is arbitration: a same-window
+        neighbour on this shard stole every variant, so the job replans
+        at the live state, on its own shard only.
+        """
+        planner = self.planners[shard_id]
+
+        def replan() -> Optional[Tuple[str, Strategy]]:
+            offer = planner.plan(job, stype, release, self.grid.snapshot())
+            return None if offer is None else (offer[0].domain, offer[1])
+
+        commitment = choose_commit(self.grid, domain, strategy, replan,
+                                   self.config.conflict_retries)
+        outcome.domain = commitment.owner
+        outcome.reason = commitment.reason
+        outcome.reallocations = commitment.reallocations
+        outcome.replans = commitment.replans
+        chosen = commitment.chosen
+        if chosen is not None:
+            self.grid.commit_distribution(chosen.distribution)
+            self._delta_log[shard_id].extend(
+                (p.node_id, p.start, p.end) for p in chosen.distribution)
+            outcome.committed = True
+            outcome.cost = chosen.outcome.cost
+            outcome.makespan = chosen.outcome.makespan
 
     # ------------------------------------------------------------------
     # Results

@@ -3,9 +3,8 @@
 The paper's virtual organization is a federation of *domains*, each
 with its own job manager; nothing in the model requires one process to
 plan every domain's jobs serially.  This module supplies the pieces the
-sharded online engine (:mod:`repro.flow.sharded`) and the DES lane
-(:class:`repro.flow.simulation.OnlineSimulation` with
-``shards > 1``) are built from:
+sharded batch engine (:mod:`repro.flow.sharded`) is built from, and the
+plan-cache read the metascheduler shares with it:
 
 * :func:`partition_domains` — a balanced, deterministic partition of
   the VO's domains into shards (a disjoint cover of the pool;
@@ -76,7 +75,7 @@ def plan_with_cache(manager: JobManager, job: "Job", stype: "StrategyType",
     """Plan one job on one manager through the semantic plan cache.
 
     The single implementation behind both the metascheduler's
-    ``_plan_for`` and the shard planners, so every lane counts reuse
+    ``plan_job`` and the shard planners, so every lane counts reuse
     identically.  Reads resolve in four grades:
 
     * **exact hit** (``flow.plan_cache_hits``) — a variant with the

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..core.calendar import ReservationCalendar, ReservationConflict
 from ..core.resources import NodeGroup, ResourcePool
-from ..core.schedule import Distribution
+from ..core.schedule import Distribution, booking_tag
 
 __all__ = ["BackgroundEvent", "GridEnvironment"]
 
@@ -83,7 +83,7 @@ class GridEnvironment:
                 calendar = self.calendars[placement.node_id]
                 reservation = calendar.reserve(
                     placement.start, placement.end,
-                    tag=f"{distribution.job_id}:{placement.task_id}")
+                    tag=booking_tag(distribution.job_id, placement.task_id))
                 booked.append((calendar, reservation))
         except ReservationConflict:
             for calendar, reservation in booked:
@@ -103,7 +103,7 @@ class GridEnvironment:
         release_prefix` pass per calendar — releasing a k-task job from
         an n-reservation calendar costs O(n), not O(k * n).
         """
-        prefix = f"{job_id}:"
+        prefix = booking_tag(job_id, "")
         return sum(calendar.release_prefix(prefix)
                    for calendar in self.calendars.values())
 

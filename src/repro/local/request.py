@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
 from ..core.resources import ProcessorNode
-from ..core.schedule import Placement
+from ..core.schedule import Placement, booking_tag
 from ..workload.traces import BatchJob
 
 __all__ = ["ResourceRequest"]
@@ -87,7 +87,7 @@ class ResourceRequest:
         """The request a metascheduler derives from a supporting schedule:
         a width-1 advance reservation at the planned wall-time window."""
         return cls(
-            request_id=f"{job_id}:{placement.task_id}",
+            request_id=booking_tag(job_id, placement.task_id),
             width=1,
             wall_time=placement.duration,
             earliest_start=placement.start,

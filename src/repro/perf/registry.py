@@ -99,14 +99,6 @@ Counter names reported by the kernel
     regeneration; a miss means generation ran fully cold.  The
     all-unique-jobs fallback: seeds only hint the warm start, so
     outcomes stay bit-identical either way.
-``flow.speculative_fresh`` / ``flow.speculative_wasted``
-    Speculative pre-planning outcomes in the online flow: pending jobs
-    re-planned during their decision lag whose warmed epochs were
-    still current at commit time vs. overtaken by later drift.
-    Deliberately *not* a ``*_hits``/``*_misses`` pair — speculation is
-    a cache-warming policy, not a cache, and the pair suffix is
-    reserved for :class:`~repro.core.context.SchedulingContext`
-    caches.
 ``critical_works.rank_cache_hits`` / ``..._misses``
     Reuse of the context's per-(job, model, pool, level) critical-works
     ranking.

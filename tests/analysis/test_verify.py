@@ -17,7 +17,7 @@ from repro.core.critical_works import (
     ScheduleInvariantError,
 )
 from repro.core.resources import NodeGroup
-from repro.core.schedule import Distribution, Placement
+from repro.core.schedule import Distribution, Placement, booking_tag
 from repro.core.strategy import StrategyGenerator, StrategyType
 from repro.experiments.fig2_example import paper_distributions
 from repro.grid.execution import simulate_execution
@@ -235,9 +235,37 @@ def test_coallocation_flags_background_overlap(pool):
 
 def test_coallocation_ignores_own_booking(pool):
     calendars = {node.node_id: ReservationCalendar() for node in pool}
-    calendars[1].reserve(5, 8, tag="T1")
+    calendars[1].reserve(5, 8, tag=booking_tag("jobA", "T1"))
     committed = Distribution("jobA", [Placement("T1", 1, 5, 8)])
     report = verify_coallocation([committed], pool, calendars)
+    assert report.ok, report.summary()
+
+
+def test_coallocation_flags_other_jobs_booking_of_same_task(pool):
+    calendars = {node.node_id: ReservationCalendar() for node in pool}
+    calendars[1].reserve(5, 8, tag=booking_tag("jobB", "T1"))
+    committed = Distribution("jobA", [Placement("T1", 1, 5, 8)])
+    report = verify_coallocation([committed], pool, calendars)
+    assert ViolationKind.CAPACITY_OVERCOMMIT in report.kinds()
+
+
+def test_online_run_verifies_against_live_calendars():
+    """Every booking the online flow commits is exempt as the
+    placement's own, so the live calendars verify clean."""
+    from repro.flow.simulation import OnlineConfig, OnlineSimulation
+    from repro.sim import RandomStreams
+    from repro.workload import generate_pool
+
+    simulation = OnlineSimulation(
+        generate_pool(RandomStreams(5).stream("pool")), seed=5,
+        config=OnlineConfig(horizon=120, busy_fraction=0.3))
+    simulation.run()
+    committed = [record.chosen.distribution
+                 for record in simulation.metascheduler.records
+                 if record.committed]
+    assert committed
+    report = verify_coallocation(committed, simulation.pool,
+                                 simulation.grid.calendars)
     assert report.ok, report.summary()
 
 

@@ -1,0 +1,73 @@
+"""Golden digests pinning both flow lanes' commit decisions.
+
+Both lanes commit through one function
+(:func:`repro.flow.metascheduler.choose_commit`).  The digests come
+from runs where commit-time conflicts and replans really happen, so
+any change to which variant a job commits, where, or why it is
+refused shows up here.  The online digest covers the benchmark's
+decision tuple and leaves out ``FlowRecord.reallocations``, which
+counts fallbacks rather than decisions.
+"""
+
+import hashlib
+
+from repro.core.strategy import StrategyType
+from repro.flow.sharded import ShardedConfig, ShardedSimulation
+from repro.flow.simulation import OnlineConfig, OnlineSimulation
+from repro.sim import RandomStreams
+from repro.workload import WorkloadConfig, generate_pool
+from repro.workload.generator import template_workload_factory
+
+SHARDED_DIGEST = (
+    "af0b365f8b9261c8785a775ea6c0cc83c42ef8f26f90fed99806cca48b1cc9d4")
+ONLINE_DIGEST = (
+    "cd6e8fa4e7c38fd2eddfd623f3b31dbcced9311eb27ae2dabcb70585396c4d68")
+
+
+def pool_24(seed, **kwargs):
+    return generate_pool(RandomStreams(seed).stream("pool"),
+                         WorkloadConfig(pool_size=(24, 24)), **kwargs)
+
+
+def test_sharded_digest_is_pinned():
+    config = ShardedConfig(jobs=150, mean_interarrival=0.05, window=4,
+                           shards=2, workers=1, sync_interval=8)
+    simulation = ShardedSimulation(
+        pool_24(42, domains=6), seed=7, config=config,
+        job_factory=template_workload_factory((5.0, 3.0, 1.0)))
+    simulation.run()
+    assert any(o.replans > 0 for o in simulation.outcomes)
+    assert simulation.digest() == SHARDED_DIGEST
+
+
+def test_online_decision_digest_is_pinned(monkeypatch):
+    config = OnlineConfig(horizon=120, mean_interarrival=2.0,
+                          busy_fraction=0.25, plan_latency=4,
+                          conflict_retries=1,
+                          stypes=(StrategyType.S1, StrategyType.S2))
+    simulation = OnlineSimulation(
+        pool_24(3), seed=3, config=config,
+        job_factory=template_workload_factory((0.7, 0.3)))
+    metascheduler = simulation.metascheduler
+    plans = []
+    plan_job = metascheduler.plan_job
+
+    def counting_plan_job(*args, **kwargs):
+        plans.append(args[0].job_id)
+        return plan_job(*args, **kwargs)
+
+    monkeypatch.setattr(metascheduler, "plan_job", counting_plan_job)
+    outcomes = simulation.run()
+    # Commit-time conflicts really happened: some jobs were replanned.
+    assert len(plans) > len(outcomes)
+    chosen = {r.job_id: r for r in metascheduler.records if r.committed}
+    rows = []
+    for o in outcomes:
+        record = chosen.get(o.job_id) if o.committed else None
+        rows.append((
+            o.job_id, o.stype.name, o.submitted, o.committed, o.reason,
+            o.planned_makespan, o.actual_makespan, o.met_deadline, o.charge,
+            record.domain if record else None,
+            record.chosen.outcome.cost if record else None))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == ONLINE_DIGEST

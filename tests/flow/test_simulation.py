@@ -139,62 +139,6 @@ def test_plan_latency_exercises_plan_cache():
     assert len(simulation.metascheduler.records) == len(outcomes)
 
 
-def crowd_config(**overrides):
-    """A dense window with a decision lag, so commits drift the
-    environment while other jobs sit in the latency window — the shape
-    speculative pre-planning exists for."""
-    kwargs = dict(horizon=120, mean_interarrival=1.5, busy_fraction=0.3,
-                  conflict_retries=2, plan_latency=6)
-    kwargs.update(overrides)
-    return OnlineConfig(**kwargs)
-
-
-def test_speculation_is_outcome_invariant():
-    """Speculative pre-planning is strictly a cache-warming policy:
-    every job outcome is bit-identical with it on or off."""
-    plain = OnlineSimulation(make_pool(), seed=5,
-                             config=crowd_config()).run()
-    speculated = OnlineSimulation(make_pool(), seed=5,
-                                  config=crowd_config(speculate=True)).run()
-
-    def flat(outcomes):
-        return [(o.job_id, o.stype, o.committed, o.reason,
-                 o.planned_makespan, o.actual_makespan) for o in outcomes]
-
-    assert flat(plain) == flat(speculated)
-
-
-def test_speculation_tallies_fresh_and_wasted():
-    from repro.perf import PERF
-
-    simulation = OnlineSimulation(make_pool(), seed=5,
-                                  config=crowd_config(speculate=True))
-    with PERF.collecting() as registry:
-        outcomes = simulation.run()
-        counters = dict(registry.counters)
-    assert any(o.committed for o in outcomes)
-    tallied = (counters.get("flow.speculative_fresh", 0)
-               + counters.get("flow.speculative_wasted", 0))
-    assert tallied > 0
-    # Speculation re-plans through the cache, never behind its back:
-    # the reserved cache pair stays owned by the plan cache alone.
-    assert "flow.speculative_hits" not in counters
-    assert "flow.speculative_misses" not in counters
-
-
-def test_speculation_off_by_default_and_emits_nothing():
-    from repro.perf import PERF
-
-    simulation = OnlineSimulation(make_pool(), seed=5,
-                                  config=crowd_config())
-    assert simulation.config.speculate is False
-    with PERF.collecting() as registry:
-        simulation.run()
-        counters = dict(registry.counters)
-    assert "flow.speculative_fresh" not in counters
-    assert "flow.speculative_wasted" not in counters
-
-
 def test_conflict_retries_reach_metascheduler():
     sim = OnlineSimulation(make_pool(), seed=5,
                            config=OnlineConfig(horizon=10,
