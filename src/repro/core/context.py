@@ -201,7 +201,9 @@ class PlanCache:
     * :meth:`lookup` — an **exact** variant: same labelled structure,
       same release, unchanged epoch slice over the domain's nodes.
       Generation inputs are then byte-identical and the strategy is
-      served outright (rebound to the requesting job's id).
+      served outright, by reference; it may still name the template
+      sibling it was generated for until the flow layer binds the
+      committing job (:meth:`~repro.core.strategy.Strategy.rebind`).
     * :meth:`repair_seed` — a **stale sibling**: same labelled
       structure but drifted release/epochs.  Its per-level node
       assignments seed a warm-started regeneration

@@ -123,6 +123,7 @@ class ResourcePool:
                 raise ValueError(f"duplicate node_id {node.node_id}")
             seen.add(node.node_id)
         self._by_id = {node.node_id: node for node in self.nodes}
+        self._node_ids = tuple(self._by_id)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -135,7 +136,7 @@ class ResourcePool:
 
     def node_ids(self) -> tuple[int, ...]:
         """All node ids in pool order (the epoch-vector axis)."""
-        return tuple(node.node_id for node in self.nodes)
+        return self._node_ids
 
     def node(self, node_id: int) -> ProcessorNode:
         """Return the node with the given id."""
@@ -150,6 +151,7 @@ class ResourcePool:
             raise ValueError(f"duplicate node_id {node.node_id}")
         self.nodes.append(node)
         self._by_id[node.node_id] = node
+        self._node_ids += (node.node_id,)
 
     def by_group(self, group: NodeGroup) -> list[ProcessorNode]:
         """All nodes in a performance class."""

@@ -256,10 +256,13 @@ class Strategy:
     def rebind(self, job: Job) -> "Strategy":
         """This strategy re-addressed to a structurally identical job.
 
-        Serving a cached plan across template-derived siblings must
-        rewrite the job identity everywhere it is recorded — the
-        distributions, outcomes, and collision records — while the
-        frozen placements themselves are shared.  Only sound for jobs
+        The plan cache serves exact hits by reference, so a strategy
+        generated for one template sibling may be offered to another;
+        :func:`~repro.flow.metascheduler.choose_commit` calls this when
+        it commits such an offer, rewriting the job identity everywhere
+        it is recorded — the distributions (and so their booking tags),
+        outcomes, and collision records — while the frozen placements
+        themselves are shared.  Only sound for jobs
         with equal :attr:`~repro.core.job.Job.structural_hash`:
         generation is deterministic in the labelled structure, so the
         rebound strategy is exactly what generating for ``job`` against

@@ -53,8 +53,6 @@ class JobManager:
         self.pool = ResourcePool(list(nodes))
         self.generator = StrategyGenerator(self.pool, policy_models,
                                            cost_model, context=context)
-        #: Strategies currently maintained, by job id.
-        self.strategies: dict[str, Strategy] = {}
 
     def plan(self, job: Job,
              calendars: Mapping[int, ReservationCalendar],
@@ -62,7 +60,7 @@ class JobManager:
              seed_hints: Optional[Mapping[float,
                                           Mapping[str, int]]] = None
              ) -> Strategy:
-        """Build (and retain) a strategy for a job on this domain.
+        """Build a strategy for a job on this domain.
 
         ``calendars`` may cover the whole VO; only this domain's node
         calendars are consulted.  ``seed_hints`` (a stale sibling
@@ -72,15 +70,8 @@ class JobManager:
         """
         local = {node.node_id: calendars[node.node_id]
                  for node in self.pool}
-        strategy = self.generator.generate(job, local, stype,
-                                           release=release,
-                                           seed_hints=seed_hints)
-        self.strategies[job.job_id] = strategy
-        return strategy
-
-    def drop(self, job_id: str) -> None:
-        """Forget the strategy of a finished or rejected job."""
-        self.strategies.pop(job_id, None)
+        return self.generator.generate(job, local, stype, release=release,
+                                       seed_hints=seed_hints)
 
     def resource_requests(self, strategy: Strategy) -> list[ResourceRequest]:
         """The requests sent to local batch systems for the chosen

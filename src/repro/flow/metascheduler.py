@@ -93,7 +93,8 @@ class Commitment(Generic[Owner]):
     reason: str = ""
 
 
-def choose_commit(grid: GridEnvironment, owner: Owner, strategy: Strategy,
+def choose_commit(grid: GridEnvironment, job: Job, owner: Owner,
+                  strategy: Strategy,
                   replan: Callable[[], Optional[tuple[Owner, Strategy]]],
                   retries: int) -> Commitment[Owner]:
     """The commit discipline shared by every flow lane.
@@ -106,9 +107,19 @@ def choose_commit(grid: GridEnvironment, owner: Owner, strategy: Strategy,
     is whatever the caller identifies an offer's domain by; it is
     handed back untouched.  Books nothing: each caller books the
     chosen variant its own way.
+
+    This is the one place job identity is bound.  The plan cache
+    serves exact hits by reference, so an offer may still name the
+    template sibling it was generated for; each attempt re-addresses
+    it to ``job`` first (:meth:`~repro.core.strategy.Strategy.rebind`),
+    so the returned strategy, variant and booking tags carry the
+    committing job.  ``can_commit`` reads only nodes and slots, so
+    binding never changes which variant fits.
     """
     reallocations = replans = 0
     while True:
+        if strategy.job is not job:
+            strategy = strategy.rebind(job)
         variants = sorted(strategy.admissible_schedules(),
                           key=lambda s: (s.outcome.cost, s.outcome.makespan))
         for variant in variants:
@@ -274,7 +285,7 @@ class Metascheduler:
             None, None, None, reason="inadmissible")
         if planned.offer is not None:
             commitment = choose_commit(
-                self.grid, *planned.offer,
+                self.grid, job, *planned.offer,
                 lambda: self.plan_job(job, stype, planned.release).offer,
                 self.conflict_retries)
         manager, chosen = commitment.owner, commitment.chosen

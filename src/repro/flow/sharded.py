@@ -83,7 +83,7 @@ class ShardedConfig:
     #: Background horizon; None derives one covering the arrival span.
     horizon: Optional[int] = None
     #: Strategy families assigned round-robin to arrivals.  S1/S2 by
-    #: default: their cache hits rebind in O(variants), while S3's
+    #: default: their commits rebind in O(variants), while S3's
     #: rebind rebuilds the aggregated job — poison at this scale.
     stypes: Tuple[StrategyType, ...] = (StrategyType.S1, StrategyType.S2)
     #: Replans allowed when every variant of a same-window neighbour's
@@ -495,8 +495,8 @@ class ShardedSimulation:
             offer = planner.plan(job, stype, release, self.grid.snapshot())
             return None if offer is None else (offer[0].domain, offer[1])
 
-        commitment = choose_commit(self.grid, domain, strategy, replan,
-                                   self.config.conflict_retries)
+        commitment = choose_commit(self.grid, job, domain, strategy,
+                                   replan, self.config.conflict_retries)
         outcome.domain = commitment.owner
         outcome.reason = commitment.reason
         outcome.reallocations = commitment.reallocations

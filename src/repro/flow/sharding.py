@@ -70,8 +70,8 @@ def plan_with_cache(manager: JobManager, job: "Job", stype: "StrategyType",
                     release: int,
                     calendars: Mapping[int, ReservationCalendar],
                     plans: PlanCache, *,
-                    epochs: Optional[Tuple[int, ...]] = None,
-                    retain: bool = True) -> "Strategy":
+                    epochs: Optional[Tuple[int, ...]] = None
+                    ) -> "Strategy":
     """Plan one job on one manager through the semantic plan cache.
 
     The single implementation behind both the metascheduler's
@@ -81,9 +81,11 @@ def plan_with_cache(manager: JobManager, job: "Job", stype: "StrategyType",
     * **exact hit** (``flow.plan_cache_hits``) — a variant with the
       same structural hash, the same release, and an unchanged epoch
       slice over the domain's nodes exists; generation inputs are
-      byte-identical, so the strategy is served outright (rebound to
-      this job's id when it was generated for a template sibling —
-      ``flow.plan_rebinds``);
+      byte-identical, so the cached strategy itself is served, by
+      reference — its :attr:`~repro.core.strategy.Strategy.job` may
+      name the template sibling it was generated for (counted as
+      ``flow.plan_rebinds``); job identity is bound only at commit, by
+      :func:`~repro.flow.metascheduler.choose_commit`;
     * **warm repair** (``flow.plan_repairs``) — a same-structure
       variant exists but its release/epochs drifted; its per-level
       assignments seed a warm-started regeneration that re-searches
@@ -102,12 +104,8 @@ def plan_with_cache(manager: JobManager, job: "Job", stype: "StrategyType",
     their masters — the same values ``grid.epoch_slice`` reports), so
     no grid handle is needed and worker processes can plan against
     replica calendars.  Freshly generated strategies are stored under
-    their
-    semantic key and as the coarse seed for their (family, domain,
-    pool).  With ``retain=False`` the manager's per-job strategy
-    retention is skipped — the sharded batch lane plans 10^5+ jobs
-    through long-lived managers and must not accumulate a strategy per
-    job id.
+    their semantic key and as the coarse seed for their (family,
+    domain, pool).
     """
     shape_hash = job.shape_hash
     structural_hash = job.structural_hash
@@ -119,19 +117,9 @@ def plan_with_cache(manager: JobManager, job: "Job", stype: "StrategyType",
     if cached is not None:
         if PERF.enabled:
             PERF.incr("flow.plan_cache_hits")
-        strategy = cached.rebind(job)
-        if strategy is not cached:
-            # Served across template siblings: same structure, same
-            # epochs — only the recorded job identity differs.
-            if PERF.enabled:
+            if cached.job is not job:
                 PERF.incr("flow.plan_rebinds")
-            plans.store(shape_hash, structural_hash, stype,
-                        manager.domain, release, epochs, strategy)
-        if retain:
-            # Keep the manager's retention behaviour identical to a
-            # fresh plan() call.
-            manager.strategies[job.job_id] = strategy
-        return strategy
+        return cached
     seed = plans.repair_seed(shape_hash, structural_hash, stype,
                              manager.domain)
     if seed is not None:
@@ -152,8 +140,6 @@ def plan_with_cache(manager: JobManager, job: "Job", stype: "StrategyType",
             seed_hints = None
     strategy = manager.plan(job, calendars, stype, release=release,
                             seed_hints=seed_hints)
-    if not retain:
-        manager.drop(job.job_id)
     plans.store(shape_hash, structural_hash, stype, manager.domain,
                 release, epochs, strategy)
     plans.store_coarse(stype, manager.domain, node_ids, strategy)
@@ -199,16 +185,13 @@ class ShardPlanner:
         """The shard's best offer for a job, or None when inadmissible.
 
         ``calendars`` must cover (at least) the shard's nodes; managers
-        slice their own domains out.  Nothing is booked and nothing is
-        retained per job id (``retain=False`` — see
-        :func:`plan_with_cache`).
+        slice their own domains out.  Nothing is booked.
         """
         best: Optional[Tuple[JobManager, "Strategy"]] = None
         best_cost = float("inf")
         for manager in self.managers:
             strategy = plan_with_cache(manager, job, stype, release,
-                                       calendars, self.context.plans,
-                                       retain=False)
+                                       calendars, self.context.plans)
             chosen = strategy.best_schedule()
             if chosen is None:
                 continue

@@ -80,10 +80,11 @@ Counter names reported by the kernel
     unchanged calendars; a miss generates cold.
     ``flow.plan_cache_evictions`` counts LRU drops on either tier.
 ``flow.plan_rebinds``
-    Exact plan-cache hits whose cached strategy was generated for a
-    *different* job id (a template sibling with the same structural
-    hash); the strategy is re-tagged to the requesting job without any
-    regeneration.  Always a subset of ``flow.plan_cache_hits``.
+    Exact plan-cache hits served to a job other than the one the cached
+    strategy was generated for (a template sibling with the same
+    structural hash), counted at read time.  The strategy is served by
+    reference and re-addressed to the job only when the flow layer
+    commits it.  Always a subset of ``flow.plan_cache_hits``.
 ``flow.plan_repairs``
     Warm repairs — the middle outcome between a hit and a miss: a
     same-structure variant exists but its release or epochs drifted,

@@ -77,6 +77,16 @@ def test_pool_add():
     assert pool.node(7).group is NodeGroup.FAST
 
 
+def test_pool_add_updates_node_ids():
+    pool = ResourcePool([ProcessorNode(node_id=3, performance=1.0)])
+    assert pool.node_ids() == (3,)
+    pool.add(ProcessorNode(node_id=1, performance=0.5))
+    assert pool.node_ids() == (3, 1)
+    with pytest.raises(ValueError):
+        pool.add(ProcessorNode(node_id=1, performance=0.5))
+    assert pool.node_ids() == (3, 1)
+
+
 def test_fig2_pool_types():
     pool = ResourcePool.fig2_pool()
     assert [n.performance for n in pool] == list(FIG2_TYPE_PERFORMANCES)

@@ -6,7 +6,9 @@ from runs where commit-time conflicts and replans really happen, so
 any change to which variant a job commits, where, or why it is
 refused shows up here.  The online digest covers the benchmark's
 decision tuple and leaves out ``FlowRecord.reallocations``, which
-counts fallbacks rather than decisions.
+counts fallbacks rather than decisions.  The sibling digest pins a run
+where exact plan-cache hits serve template siblings, down to the
+booking tags each commit leaves on the calendars.
 """
 
 import hashlib
@@ -14,6 +16,7 @@ import hashlib
 from repro.core.strategy import StrategyType
 from repro.flow.sharded import ShardedConfig, ShardedSimulation
 from repro.flow.simulation import OnlineConfig, OnlineSimulation
+from repro.perf import PERF
 from repro.sim import RandomStreams
 from repro.workload import WorkloadConfig, generate_pool
 from repro.workload.generator import template_workload_factory
@@ -71,3 +74,48 @@ def test_online_decision_digest_is_pinned(monkeypatch):
             record.chosen.outcome.cost if record else None))
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert digest == ONLINE_DIGEST
+
+
+SIBLING_DIGEST = (
+    "05f42abd23c5ff7cd4f78e5bfd0e728f55021aa2e2ad369de8ea3a57a9448e78")
+
+
+def test_online_sibling_digest_is_pinned(monkeypatch):
+    """Template siblings served exact plan-cache hits commit under their
+    own ids: the digest covers every live reservation's tag and every
+    record's committed distribution."""
+    config = OnlineConfig(horizon=80, mean_interarrival=1.0,
+                          busy_fraction=0.25, plan_latency=2,
+                          conflict_retries=1,
+                          stypes=(StrategyType.S1, StrategyType.S2))
+    simulation = OnlineSimulation(
+        pool_24(5, domains=3), seed=5, config=config,
+        job_factory=template_workload_factory((0.7, 0.3)))
+    metascheduler = simulation.metascheduler
+    plans = []
+    plan_job = metascheduler.plan_job
+
+    def counting_plan_job(*args, **kwargs):
+        plans.append(args[0].job_id)
+        return plan_job(*args, **kwargs)
+
+    monkeypatch.setattr(metascheduler, "plan_job", counting_plan_job)
+    with PERF.collecting() as registry:
+        outcomes = simulation.run()
+        counters = dict(registry.counters)
+    # Exact hits were served to siblings, and conflicts forced replans.
+    assert counters.get("flow.plan_rebinds", 0) > 0
+    assert len(plans) > len(outcomes)
+    hasher = hashlib.sha256()
+    for node_id in sorted(simulation.grid.calendars):
+        hasher.update(f"n{node_id}".encode())
+        for r in simulation.grid.calendars[node_id].reservations:
+            hasher.update(f":{r.start},{r.end},{r.tag}".encode())
+    for r in metascheduler.records:
+        chosen = r.chosen
+        hasher.update(repr((
+            r.job_id, r.committed, r.reason, r.domain,
+            None if chosen is None else (chosen.level,
+                                         chosen.distribution.job_id,
+                                         chosen.outcome.cost))).encode())
+    assert hasher.hexdigest() == SIBLING_DIGEST

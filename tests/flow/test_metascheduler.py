@@ -45,9 +45,7 @@ def test_manager_plans_only_on_its_domain():
     assert strategy.admissible
     for schedule in strategy.admissible_schedules():
         assert schedule.distribution.node_ids() <= {1, 2}
-    assert "j" in manager.strategies
-    manager.drop("j")
-    assert "j" not in manager.strategies
+    assert strategy.job.job_id == "j"
 
 
 def test_manager_rejects_empty_domain():
@@ -211,7 +209,24 @@ def test_conflict_retries_validation():
         Metascheduler(grid, conflict_retries=-1)
 
 
-def test_plan_cache_reuses_untouched_domains():
+def recorded_plan_reads(monkeypatch):
+    """Record every plan-cache read the metascheduler makes, as
+    ``(domain, strategy)`` pairs in call order."""
+    import repro.flow.metascheduler as metascheduler_module
+
+    reads = []
+    read = metascheduler_module.plan_with_cache
+
+    def recording(manager, *args, **kwargs):
+        strategy = read(manager, *args, **kwargs)
+        reads.append((manager.domain, strategy))
+        return strategy
+
+    monkeypatch.setattr(metascheduler_module, "plan_with_cache", recording)
+    return reads
+
+
+def test_plan_cache_reuses_untouched_domains(monkeypatch):
     """Re-dispatching a job replans only domains whose epoch slice
     moved; the untouched domain's strategy is reused object-identically."""
     from repro.perf import PERF
@@ -219,6 +234,7 @@ def test_plan_cache_reuses_untouched_domains():
     grid = GridEnvironment(two_domain_pool())
     scheduler = Metascheduler(grid)
     job = simple_job()
+    reads = recorded_plan_reads(monkeypatch)
 
     with PERF.collecting() as registry:
         scheduler.submit(job, StrategyType.S1)
@@ -231,7 +247,8 @@ def test_plan_cache_reuses_untouched_domains():
     committed_domain = first.domain
     untouched = [m for m in scheduler.managers
                  if m.domain != committed_domain][0]
-    cached_strategy = untouched.strategies[job.job_id]
+    cached_strategy = dict(reads)[untouched.domain]
+    reads.clear()
 
     with PERF.collecting() as registry:
         scheduler.submit(job, StrategyType.S1)
@@ -243,7 +260,7 @@ def test_plan_cache_reuses_untouched_domains():
     assert counters.get("flow.plan_cache_hits") == 1
     assert counters.get("flow.plan_repairs") == 1
     assert counters.get("flow.plan_cache_misses") is None
-    assert untouched.strategies[job.job_id] is cached_strategy
+    assert dict(reads)[untouched.domain] is cached_strategy
     assert second.job_id == job.job_id
 
 
@@ -337,7 +354,8 @@ def strategy_snapshot(strategy):
 
 @pytest.mark.parametrize("deadline", [25, 30, 45])
 @pytest.mark.parametrize("stype", [StrategyType.S1, StrategyType.S2])
-def test_repaired_plan_is_bit_identical_to_cold_replan(deadline, stype):
+def test_repaired_plan_is_bit_identical_to_cold_replan(deadline, stype,
+                                                      monkeypatch):
     """A warm repair (stale same-structure sibling seeding regeneration
     after epoch drift) must equal the cold replan it replaces on every
     domain, level by level and placement by placement."""
@@ -355,9 +373,11 @@ def test_repaired_plan_is_bit_identical_to_cold_replan(deadline, stype):
     sibling = simple_job("sibling", deadline=deadline)
 
     warm_grid, warm_scheduler = drifted_grid()
+    reads = recorded_plan_reads(monkeypatch)
     with PERF.collecting() as registry:
         warm_scheduler.plan_job(sibling, stype, release=0)
         counters = dict(registry.counters)
+    warm = dict(reads)
     # The committed domain drifted (repair); the other is exact.
     assert counters.get("flow.plan_repairs") == 1
     assert counters.get("flow.plan_cache_hits") == 1
@@ -365,17 +385,17 @@ def test_repaired_plan_is_bit_identical_to_cold_replan(deadline, stype):
 
     cold_grid, _ = drifted_grid()
     cold_scheduler = Metascheduler(cold_grid)  # fresh, empty plan cache
+    reads.clear()
     with PERF.collecting() as registry:
         cold_scheduler.plan_job(sibling, stype, release=0)
         counters = dict(registry.counters)
     assert counters.get("flow.plan_cache_misses") == 2
+    cold = dict(reads)
 
-    for warm_manager, cold_manager in zip(warm_scheduler.managers,
-                                          cold_scheduler.managers):
-        assert warm_manager.domain == cold_manager.domain
-        assert strategy_snapshot(
-            warm_manager.strategies["sibling"]) == strategy_snapshot(
-            cold_manager.strategies["sibling"])
+    assert list(warm) == list(cold) == warm_grid.pool.domains()
+    for domain in warm:
+        assert strategy_snapshot(warm[domain]) == strategy_snapshot(
+            cold[domain])
 
 
 def test_commit_conflict_rejects_without_retries():
