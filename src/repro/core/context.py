@@ -172,7 +172,7 @@ class LruCache(Generic[K, V]):
 
 
 #: Interval-witness bucket: parallel sorted (earliest, start) lists
-#: (see ``find_fit`` in :func:`repro.core.dp.allocate_chain`).
+#: (see :meth:`repro.core.dp.ChainProblem.find_fit`).
 _FitBucket = Tuple[List[int], List[Optional[int]]]
 #: Fit-cache key: (node id, calendar version, duration, deadline).
 _FitKey = Tuple[int, int, int, int]

@@ -33,7 +33,7 @@ from .calendar import ReservationCalendar
 from .collisions import Collision, CollisionStats
 from .context import SchedulingContext
 from .costs import CostModel, VolumeOverTimeCost, distribution_cost
-from .dp import _BATCH_MIN_ROWS, allocate_chain
+from .dp import allocate_chain, materialize_gap_tables
 from .job import Job
 from .resources import ResourcePool
 from .schedule import Distribution, Placement
@@ -104,17 +104,8 @@ class CriticalWorksScheduler:
                  monopolize: bool = False,
                  accounting_model: Optional[CostModel] = None,
                  self_check: bool = False,
-                 engine: str = "auto",
                  context: Optional[SchedulingContext] = None):
         self.pool = pool
-        if engine not in ("auto", "scalar", "batch"):
-            raise ValueError(f"unknown engine {engine!r}")
-        #: DP engine selection, forwarded to
-        #: :func:`repro.core.dp.allocate_chain` — ``"auto"`` batches the
-        #: phase-A (base snapshot) allocations and falls back to the
-        #: scalar recursion for phase-B working calendars; the choice
-        #: never affects results, only speed.
-        self.engine = engine
         self.transfer_model = transfer_model or NeutralTransferModel()
         #: Selection criterion the DP minimizes (a family's objective).
         self.cost_model = cost_model or VolumeOverTimeCost()
@@ -206,18 +197,11 @@ class CriticalWorksScheduler:
         ctx = context if context is not None else self.context
         outcome = SchedulingOutcome(job_id=job.job_id, distribution=None,
                                     admissible=False, level=level)
-        if self.engine == "batch" or (
-                self.engine == "auto"
-                and len(calendars) >= _BATCH_MIN_ROWS):
-            # Materialize (or reuse — versions are shared by COW copies)
-            # gap tables for the base snapshot, so phase-A allocations
-            # qualify for the batch DP engine.  Phase-B working copies
-            # mutate into fresh untabled versions and deliberately fall
-            # back to the scalar recursion.  Pools too small to pass the
-            # batch row gate (domain subpools of online flows) skip the
-            # tables — their calls always take the scalar path.
-            for calendar in calendars.values():
-                ctx.gap_table(calendar)
+        # Materialize (or reuse — versions are shared by COW copies) gap
+        # tables for the base snapshot, so phase-A allocations qualify
+        # for the batch DP solver.  Phase-B working copies mutate into
+        # fresh untabled versions and take the scalar recursion.
+        materialize_gap_tables(calendars, ctx)
         deadline = release + job.deadline if job.deadline else None
         if deadline is None:
             # No fixed completion time: bound by a generous horizon so the
@@ -369,8 +353,7 @@ class CriticalWorksScheduler:
             job, segment, self.pool, base, deadline, level,
             self.transfer_model, self.cost_model, fixed=placed,
             release=release, allowed_nodes=allowed,
-            objective=self.objective, hint=warm_hint,
-            engine=self.engine, context=ctx)
+            objective=self.objective, hint=warm_hint, context=ctx)
         if tentative is None:
             return False
         outcome.evaluations += tentative.evaluations
@@ -413,8 +396,7 @@ class CriticalWorksScheduler:
                 job, remainder, self.pool, working, deadline, level,
                 self.transfer_model, self.cost_model, fixed=placed,
                 release=release, allowed_nodes=allowed,
-                objective=self.objective, hint=segment_hint,
-                engine=self.engine, context=ctx)
+                objective=self.objective, hint=segment_hint, context=ctx)
             if resolved is None:
                 return False
             outcome.evaluations += resolved.evaluations

@@ -18,6 +18,12 @@ previous node)``; for a fixed node choice the earliest feasible start
 dominates all later ones (it can only enlarge downstream feasibility),
 so each transition considers one start per node.
 
+One call prepares one :class:`ChainProblem` (candidate rows, bounds,
+prices, warm incumbent) and hands it to one of two solvers, picked from
+the input alone: the recursion (:func:`solve_scalar`) or the
+level-synchronous array sweep (:func:`solve_batch`).  Both return
+bit-identical allocations.
+
 Incremental generation (two orthogonal mechanisms, both exact):
 
 * the ``context`` fit cache — a shared memo of ``earliest_fit``
@@ -65,20 +71,23 @@ from .resources import ProcessorNode, ResourcePool
 from .schedule import Placement
 from .transfers import NeutralTransferModel, TransferModel
 
-__all__ = ["ChainAllocation", "allocate_chain"]
+__all__ = ["ChainAllocation", "ChainProblem", "allocate_chain",
+           "materialize_gap_tables", "solve_batch", "solve_scalar"]
 
 _INFINITY = float("inf")
 
-#: Shortest chain the ``auto`` engine routes to the batch kernel.  A
-#: single-task chain touches each candidate row exactly once — array
-#: setup costs more than the loop it replaces.
+#: Shortest chain routed to the batch solver.  A single-task chain
+#: touches each candidate row exactly once — array setup costs more
+#: than the loop it replaces.
 _BATCH_MIN_CHAIN = 2
 
-#: Widest candidate row set required before the ``auto`` engine
-#: batches.  Small pools (e.g. per-domain subpools of a metascheduler)
-#: spawn so few states per level that the scalar recursion beats the
-#: fixed per-level cost of the array ops; measured crossover on the
-#: bench scenarios sits around a dozen rows.
+#: Widest candidate row set required before a chain is batched.  Small
+#: pools (e.g. per-domain subpools of a metascheduler) spawn so few
+#: states per level that the scalar recursion beats the fixed
+#: per-level cost of the array ops; measured crossover on the bench
+#: scenarios sits around a dozen rows.  The same width gates the
+#: vectorized row pricing of warm starts and the gap-table prebuild
+#: (:func:`materialize_gap_tables`).
 _BATCH_MIN_ROWS = 12
 
 #: Stride packing a DP state ``(pool position, data-ready slot)`` into
@@ -102,8 +111,594 @@ class ChainAllocation:
     #: Number of DP state expansions actually performed — the strategy
     #: generation expense metric (S1 vs MS1 comparison in Section 4).
     #: Warm-started runs perform (and report) fewer expansions while
-    #: returning bit-identical placements.
+    #: returning bit-identical placements.  Cold counts agree between
+    #: the solvers; warm counts do not (the batch sweep prunes on a
+    #: forward prefix-cost bound, the recursion on its running
+    #: allowance).  The batch solver runs only on pools of 12 or more
+    #: rows — seed-2009 ``repro perf strategy_generation`` (26 nodes)
+    #: counts 56,410 batched against 54,948 scalar over 90 strategies,
+    #: same schedules; the paper studies' 8-node subsets always count
+    #: the scalar solver's.
     evaluations: int
+
+
+class ChainProblem:
+    """One chain allocation, validated and prepared once for either solver.
+
+    Parameters are those of :func:`allocate_chain`.  Per chain position
+    it holds the candidate *rows*, one per node that can host the task
+    at all: ``[node, node_id, calendar, version, duration, floor,
+    ceiling, row_cost, fits]`` — the calendar and its content version
+    (the DP never mutates calendars), the task's duration there, the
+    external start floor and end ceiling (release, deadline, placed
+    neighbours), then two lazy slots: the start-invariant price, filled
+    on first touch, and the row's interval-witness bucket of the shared
+    fit cache (node, version, duration and ceiling are its key).  It
+    also holds the per-edge transfer constants and, for hinted calls,
+    the warm incumbent: ``pruning``, its value ``allowance``, and
+    ``tail_lb[i]``, an admissible lower bound on the primary criterion
+    of ``chain[i:]``.  Solvers only fill the rows' lazy slots.
+    """
+
+    def __init__(self, job: Job, chain: Sequence[str], pool: ResourcePool,
+                 calendars: Mapping[int, ReservationCalendar],
+                 deadline: int,
+                 level: float = 0.0,
+                 transfer_model: Optional[TransferModel] = None,
+                 cost_model: Optional[CostModel] = None,
+                 fixed: Optional[Mapping[str, Placement]] = None,
+                 release: int = 0,
+                 allowed_nodes: Optional[set[int]] = None,
+                 objective: str = "cost",
+                 hint: Optional[Mapping[str, int]] = None,
+                 context: Optional[SchedulingContext] = None):
+        if objective not in ("cost", "time"):
+            raise ValueError(f"unknown objective {objective!r}")
+        fixed = fixed or {}
+        for earlier, later in zip(chain, chain[1:]):
+            if job.transfer_between(earlier, later) is None:
+                raise ValueError(
+                    f"chain edge ({earlier!r}, {later!r}) is not in job "
+                    f"{job.job_id!r}")
+        for task_id in chain:
+            if task_id in fixed:
+                raise ValueError(f"chain task {task_id!r} is already placed")
+        nodes = [node for node in pool
+                 if allowed_nodes is None or node.node_id in allowed_nodes]
+        #: A non-empty chain with no allowed node is never solved.
+        self.infeasible = bool(chain) and not nodes
+        self.job, self.chain, self.pool = job, chain, pool
+        self.release, self.context = release, context
+        self.transfer_model = transfer_model = (transfer_model
+                                                or NeutralTransferModel())
+        self.cost_model = cost_model = cost_model or VolumeOverTimeCost()
+        #: Candidate rank is (cost, finish) or (finish, cost); the
+        #: comparison is branch-specialized in the solvers.
+        self.cost_mode = objective == "cost"
+        #: Start-time-invariant pricing (true for every built-in model)
+        #: makes per-(task, node) costs constants — the soundness
+        #: requirement for cost-objective lower bounds, the batch
+        #: solver's precondition, and an opportunity to price rows once
+        #: instead of once per expansion.
+        self.invariant_cost = bool(getattr(cost_model, "time_invariant",
+                                           False))
+
+        # Every cache lives in the caller's context, scoped wide enough
+        # to be exact: lags per (job, transfer model), durations per job
+        # (pure value keys), lag matrices per (job, model, pool) — the
+        # batch solver indexes them by pool position.  Without a context
+        # the call runs cacheless: a private lag dict (the DP asks for
+        # the same lag once per state expansion), no fit memo, no
+        # batched tables.
+        if context is not None:
+            self.fit_cache = context.fit_cache
+            self.transfer_cache = context.transfer_lags(job, transfer_model)
+            self.transfer_matrices = context.transfer_matrices(
+                job, transfer_model, pool)
+        else:
+            self.fit_cache = None
+            # lint: context-cache (private lag memo of a contextless call)
+            self.transfer_cache = {}
+            self.transfer_matrices = None
+
+        # Models declaring a ``price_key`` are pure functions of
+        # (volume, duration, node), so their row prices memo across
+        # calls in the session context — template siblings re-price the
+        # same triples on every replan otherwise.
+        self.price_key = getattr(cost_model, "price_key", None)
+        self.price_memo = (context.price_memo
+                           if context is not None
+                           and self.price_key is not None else None)
+
+        self.tasks = [job.task(task_id) for task_id in chain]
+        # Per-position constants, hoisted so each state expansion
+        # touches lists instead of re-querying the job graph.  Uniform-
+        # lag models collapse each edge's lag to one constant (zero
+        # co-located): the solvers then compare node ids instead of
+        # consulting the transfer cache at all.
+        uniform_lag_fn = getattr(transfer_model, "uniform_lag", None)
+        self.incoming: list[Optional[DataTransfer]] = [None] * len(chain)
+        self.uniform: list[Optional[int]] = [None] * len(chain)
+        for position in range(1, len(chain)):
+            incoming = job.transfer_between(chain[position - 1],
+                                            chain[position])
+            self.incoming[position] = incoming
+            if uniform_lag_fn is not None:
+                self.uniform[position] = uniform_lag_fn(incoming)
+
+        self.rows = self._candidate_rows(calendars, nodes, deadline, level,
+                                         fixed, uniform_lag_fn)
+        self.pruning = False
+        self.allowance = _INFINITY
+        self.tail_lb: list[float] = []
+        # Single-task chains cannot profit: the cold DP touches each row
+        # exactly once, which is no more work than building the
+        # incumbent and the lower bounds would be.
+        if (hint is not None and len(chain) > 1 and not self.infeasible
+                and (self.invariant_cost or not self.cost_mode)):
+            self._warm_start(hint)
+
+    # ------------------------------------------------------------------
+    # Preparation
+    # ------------------------------------------------------------------
+
+    def _candidate_rows(self, calendars: Mapping[int, ReservationCalendar],
+                        nodes: Sequence[ProcessorNode], deadline: int,
+                        level: float, fixed: Mapping[str, Placement],
+                        uniform_lag_fn: Optional[Callable[[DataTransfer],
+                                                          int]]
+                        ) -> list[list[list]]:
+        """Candidate rows per chain position (see the class docstring).
+
+        The external bounds (earliest start from already-placed
+        predecessors, latest end from the deadline and placed
+        successors) depend only on (task, node), so they are computed
+        here once instead of in the DP inner loop.  Nodes that can never
+        host a task (``floor + duration > ceiling`` regardless of the
+        data-ready time: the DP start bound is never below the external
+        floor) get no row.
+        """
+        job, pool, release = self.job, self.pool, self.release
+        context = self.context
+        duration_cache = (context.durations(job) if context is not None
+                          else None)
+        if context is not None and len(nodes) == len(pool):
+            # ``nodes`` is the whole pool in pool order — the performance
+            # vector is then a constant of the pool, served from the
+            # session context instead of rebuilt per chain.
+            performances = context.pool_performances(pool)
+        else:
+            performances = np.fromiter((node.performance for node in nodes),
+                                       dtype=np.float64, count=len(nodes))
+        node_info = [(node, calendars[node.node_id]) for node in nodes]
+        transfer_time = self.transfer_time
+        candidates = []
+        for task_id, job_task in zip(self.chain, self.tasks):
+            placed_preds = []
+            for pred in job.predecessors(task_id):
+                placed = fixed.get(pred)
+                if placed is None:
+                    continue
+                transfer = job.transfer_between(pred, task_id)
+                if transfer is None:  # pragma: no cover - preds have edges
+                    continue
+                placed_preds.append(
+                    (placed.end, transfer, pool.node(placed.node_id)))
+            placed_succs = []
+            for succ in job.successors(task_id):
+                placed = fixed.get(succ)
+                if placed is None:
+                    continue
+                transfer = job.transfer_between(task_id, succ)
+                if transfer is None:  # pragma: no cover - succs have edges
+                    continue
+                placed_succs.append(
+                    (placed.start, transfer, pool.node(placed.node_id)))
+
+            # Uniform-lag models (every built-in policy) make the
+            # external bounds node-independent except on the placed
+            # neighbours' own nodes: floor = max(pred end + lag)
+            # everywhere but on a producer's node, where that producer's
+            # lag drops to zero.  Precomputing the shared bound (and the
+            # handful of neighbour node ids needing the exact loop) turns
+            # the per-node work from |preds| transfer lookups into one
+            # dict-free comparison.
+            pred_lags = succ_lags = None
+            if uniform_lag_fn is not None:
+                pred_lags = [(pred_end, uniform_lag_fn(transfer),
+                              src_node.node_id)
+                             for pred_end, transfer, src_node in placed_preds]
+                shared_floor = release
+                for pred_end, lag, _ in pred_lags:
+                    bound = pred_end + lag
+                    if bound > shared_floor:
+                        shared_floor = bound
+                pred_ids = {src_id for _, _, src_id in pred_lags}
+                succ_lags = [(succ_start, uniform_lag_fn(transfer),
+                              dst_node.node_id)
+                             for succ_start, transfer, dst_node
+                             in placed_succs]
+                shared_ceiling = deadline
+                for succ_start, lag, _ in succ_lags:
+                    bound = succ_start - lag
+                    if bound < shared_ceiling:
+                        shared_ceiling = bound
+                succ_ids = {dst_id for _, _, dst_id in succ_lags}
+
+            # Durations are computed for all nodes in one vectorized
+            # sweep the first time a (task, level) misses the shared
+            # cache — online flows see every job cold, so misses arrive
+            # in whole per-task batches.  ``duration_array`` runs the
+            # same float ops as ``duration_on``, so cached and fresh
+            # values agree exactly.
+            task_durations: Optional[list[int]] = None
+            rows = []
+            for position, (node, calendar) in enumerate(node_info):
+                if duration_cache is None:
+                    if task_durations is None:
+                        task_durations = job_task.duration_array(
+                            performances, level).tolist()
+                    duration = task_durations[position]
+                else:
+                    dur_key = (task_id, node.node_id, level)
+                    duration = duration_cache.get(dur_key)
+                    if duration is None:
+                        if PERF.enabled:
+                            PERF.incr("dp.duration_cache_misses")
+                        if task_durations is None:
+                            task_durations = job_task.duration_array(
+                                performances, level).tolist()
+                        duration = task_durations[position]
+                        duration_cache[dur_key] = duration
+                    elif PERF.enabled:
+                        PERF.incr("dp.duration_cache_hits")
+                if pred_lags is None:
+                    floor = release
+                    for pred_end, transfer, src_node in placed_preds:
+                        bound = pred_end + transfer_time(transfer, src_node,
+                                                         node)
+                        if bound > floor:
+                            floor = bound
+                elif node.node_id in pred_ids:
+                    floor = release
+                    for pred_end, lag, src_id in pred_lags:
+                        bound = (pred_end if src_id == node.node_id
+                                 else pred_end + lag)
+                        if bound > floor:
+                            floor = bound
+                else:
+                    floor = shared_floor
+                if succ_lags is None:
+                    ceiling = deadline
+                    for succ_start, transfer, dst_node in placed_succs:
+                        bound = succ_start - transfer_time(transfer, node,
+                                                           dst_node)
+                        if bound < ceiling:
+                            ceiling = bound
+                elif node.node_id in succ_ids:
+                    ceiling = deadline
+                    for succ_start, lag, dst_id in succ_lags:
+                        bound = (succ_start if dst_id == node.node_id
+                                 else succ_start - lag)
+                        if bound < ceiling:
+                            ceiling = bound
+                else:
+                    ceiling = shared_ceiling
+                if floor + duration > ceiling:
+                    continue
+                rows.append([node, node.node_id, calendar, calendar.version,
+                             duration, floor, ceiling, None, None])
+            # An empty row set is kept (not short-circuited) so the DP
+            # explores — and counts — exactly the states it always did.
+            candidates.append(rows)
+        return candidates
+
+    def _warm_start(self, hint: Mapping[str, int]) -> None:
+        """Re-fit the hint into an incumbent and the tail lower bounds.
+
+        Partial chains whose admissible lower bound is *strictly* worse
+        than the incumbent are then pruned.  ``tail_lb[i]`` bounds the
+        primary criterion of ``chain[i:]`` from below (per-task minimum
+        over candidate rows; transfer lags, being non-negative, are
+        soundly dropped).
+        """
+        cost_mode = self.cost_mode
+        if cost_mode:
+            # The incumbent and lower bounds below touch every row's
+            # price; wide row sets are priced in one sweep (narrow ones
+            # on demand — the array round-trip costs more there).
+            for index, rows in enumerate(self.rows):
+                if len(rows) >= _BATCH_MIN_ROWS:
+                    self.price_rows(index)
+        incumbent, left_hint = self.greedy_incumbent(hint)
+        if incumbent is None and cost_mode:
+            # Cheapest-first can paint itself past a tight ceiling; an
+            # earliest-finish descent maximizes slack and often still
+            # completes the chain.
+            incumbent, left_hint = self.greedy_incumbent(hint,
+                                                         by_finish=True)
+        if incumbent is None:
+            if PERF.enabled:
+                PERF.incr("dp.incumbents_cold")
+            return
+        if PERF.enabled:
+            if left_hint:
+                PERF.incr("dp.greedy_incumbents")
+            PERF.incr("dp.incumbents_warm")
+        self.pruning = True
+        self.allowance = incumbent
+        tail_lb = [0.0] * (len(self.chain) + 1)
+        for position in range(len(self.chain) - 1, -1, -1):
+            rows = self.rows[position]
+            if cost_mode:
+                # The lower bound needs every row priced (min over the
+                # task's candidates).
+                step = min((r[7] if r[7] is not None
+                            else self.price_row(position, r)
+                            for r in rows), default=_INFINITY)
+            else:
+                step = min((r[4] for r in rows), default=_INFINITY)
+            tail_lb[position] = step + tail_lb[position + 1]
+        self.tail_lb = tail_lb
+
+    def greedy_incumbent(self, hint: Mapping[str, int],
+                         by_finish: bool = False
+                         ) -> tuple[Optional[float], bool]:
+        """Primary value of a hint-preferring greedy descent.
+
+        Each step first re-tries the task's own hinted row — tasks
+        whose nodes kept their slots keep their assignment, so only the
+        drifted remainder is re-chosen — and otherwise takes the
+        cheapest (cost mode) or earliest-finishing (time mode) feasible
+        row.  A hint that still fits as a whole is thus re-evaluated
+        as-is.  This is what makes plan repair incremental: a stale plan
+        with one stolen slot re-derives an incumbent that differs from
+        the hint in exactly the patched tasks.  ``by_finish`` forces the
+        earliest-finish choice even in cost mode — a second descent for
+        deadline-tight chains where cheapest-first painted itself past
+        the ceiling; the returned value is still that chain's exact
+        cost, so it remains a sound upper bound.  No backtracking — a
+        dead end returns None and the run is simply cold.  Incumbents
+        only prune (exact bounds), so the returned allocation is
+        bit-identical to a cold run's.
+
+        Returns ``(value or None, left_hint)``; ``left_hint`` is True
+        when some step could not take its hinted row.
+        """
+        cost_mode = self.cost_mode
+        prev_node: Optional[ProcessorNode] = None
+        ready = self.release
+        total_cost = 0.0
+        left_hint = False
+        for index, rows in enumerate(self.rows):
+            hinted = hint.get(self.chain[index])
+            row, end = self._fit_step([r for r in rows if r[1] == hinted],
+                                      index, prev_node, ready, False)
+            if row is None:
+                left_hint = True
+                if cost_mode and not by_finish:
+                    # Start-invariant prices: cheapest-first order,
+                    # first feasible row wins the step.
+                    rows = sorted(rows, key=lambda row: (
+                        row[7] if row[7] is not None
+                        else self.price_row(index, row)))
+                row, end = self._fit_step(rows, index, prev_node, ready,
+                                          not cost_mode or by_finish)
+                if row is None:
+                    return None, True
+            if cost_mode:
+                total_cost += (row[7] if row[7] is not None
+                               else self.price_row(index, row))
+            prev_node = row[0]
+            ready = end
+        return (total_cost if cost_mode else float(ready)), left_hint
+
+    def _fit_step(self, rows: list, index: int,
+                  prev_node: Optional[ProcessorNode], ready: int,
+                  earliest_finish: bool) -> tuple[Optional[list], int]:
+        """The first row of ``rows`` that fits chain position ``index``
+        after ``prev_node`` (the earliest-ending one with
+        ``earliest_finish``), and its end slot."""
+        incoming = self.incoming[index]
+        chosen_row = None
+        chosen_end = 0
+        for row in rows:
+            duration, floor, ceiling = row[4], row[5], row[6]
+            if incoming is None or prev_node is None:
+                start_bound = ready
+            else:
+                start_bound = ready + self.transfer_time(incoming, prev_node,
+                                                         row[0])
+            if floor > start_bound:
+                start_bound = floor
+            if start_bound + duration > ceiling:
+                continue
+            start = self.find_fit(row, start_bound)
+            if start is None:
+                continue
+            end = start + duration
+            if not earliest_finish:
+                return row, end
+            if chosen_row is None or end < chosen_end:
+                chosen_row, chosen_end = row, end
+        return chosen_row, chosen_end
+
+    # ------------------------------------------------------------------
+    # Row queries shared by the preparation and the solvers
+    # ------------------------------------------------------------------
+
+    def transfer_time(self, transfer: DataTransfer, src_node: ProcessorNode,
+                      dst_node: ProcessorNode) -> int:
+        """The transfer's lag between two nodes, through the lag memo."""
+        key = (transfer.transfer_id, src_node.node_id, dst_node.node_id)
+        lag = self.transfer_cache.get(key)
+        if lag is None:
+            if PERF.enabled:
+                PERF.incr("dp.transfer_cache_misses")
+            lag = self.transfer_model.time(transfer, src_node, dst_node)
+            self.transfer_cache[key] = lag
+        elif PERF.enabled:
+            PERF.incr("dp.transfer_cache_hits")
+        return lag
+
+    def find_fit(self, row: list, earliest: int) -> Optional[int]:
+        """``earliest_fit`` through the row's interval-witness memo.
+
+        Witnesses exploit the monotone structure of ``earliest_fit``
+        for a fixed (calendar version, duration, deadline): an answer
+        ``(e1, s1)`` also answers every query in ``[e1, s1]`` with
+        ``s1`` (no earlier slot exists past ``e1``, and ``s1`` still
+        fits), and a failed probe at ``e1`` proves failure for every
+        query at or past ``e1`` (shrinking the search window never
+        creates slots).  One computed fit therefore covers a whole
+        interval of ``earliest`` values — exact, never heuristic.
+        :func:`solve_scalar` inlines the same lookup.
+        """
+        fits = row[8]
+        if fits is None:
+            if self.fit_cache is None:
+                return row[2].earliest_fit(row[4], earliest=earliest,
+                                           deadline=row[6])
+            calendar_version = row[3]
+            fit_key = (row[1], calendar_version, row[4], row[6])
+            fits = self.fit_cache.get(fit_key)
+            if fits is None:
+                fits = ([], [])
+                self.fit_cache[fit_key] = fits
+            row[8] = fits
+        keys, starts = fits
+        position = bisect_right(keys, earliest) - 1
+        if position >= 0:
+            cached = starts[position]
+            if cached is None or earliest <= cached:
+                if PERF.enabled:
+                    PERF.incr("dp.fit_cache_hits")
+                return cached
+        if PERF.enabled:
+            PERF.incr("dp.fit_cache_misses")
+        start = row[2].earliest_fit(row[4], earliest=earliest,
+                                    deadline=row[6])
+        keys.insert(position + 1, earliest)
+        starts.insert(position + 1, start)
+        return start
+
+    def price_row(self, index: int, row: list) -> float:
+        """The row's (start-invariant) cost, cached on the row."""
+        task = self.tasks[index]
+        if self.price_memo is not None:
+            memo_key = (self.price_key, task.volume, row[4], row[1])
+            row_cost = self.price_memo.get(memo_key)
+            if row_cost is None:
+                row_cost = self.cost_model.task_cost(
+                    task, Placement(task.task_id, row[1], row[5],
+                                    row[5] + row[4]), row[0])
+                self.price_memo[memo_key] = row_cost
+        else:
+            row_cost = self.cost_model.task_cost(
+                task, Placement(task.task_id, row[1], row[5],
+                                row[5] + row[4]), row[0])
+        row[7] = row_cost
+        return row_cost
+
+    def price_rows(self, index: int) -> None:
+        """Price every row of one chain position that is still unpriced.
+
+        Models with a vectorized pricer (``task_cost_array``) fill the
+        whole position in one sweep — elementwise the same float ops as
+        :meth:`price_row`, and ``tolist()`` round-trips float64 exactly,
+        so the values match bit for bit.
+        """
+        rows = self.rows[index]
+        if all(row[7] is not None for row in rows):
+            return
+        cost_array_fn = getattr(self.cost_model, "task_cost_array", None)
+        if cost_array_fn is None:
+            for row in rows:
+                if row[7] is None:
+                    self.price_row(index, row)
+            return
+        priced = cost_array_fn(
+            self.tasks[index],
+            np.fromiter((row[4] for row in rows), dtype=np.int64,
+                        count=len(rows)),
+            [row[0] for row in rows])
+        for row, value in zip(rows, priced.tolist()):
+            row[7] = value
+
+    def lag_matrix(self, transfer: DataTransfer) -> np.ndarray:
+        """The transfer's (pool src × pool dst) lag matrix, memoized in
+        the context so the batch solver pays one build per (job, model,
+        pool, edge) instead of per call."""
+        matrices = self.transfer_matrices
+        matrix = (matrices.get(transfer.transfer_id)
+                  if matrices is not None else None)
+        if matrix is not None:
+            return matrix
+        pool_nodes = list(self.pool)
+        size = len(pool_nodes)
+        matrix = np.empty((size, size), dtype=np.int64)
+        for src_at, src in enumerate(pool_nodes):
+            for dst_at, dst in enumerate(pool_nodes):
+                matrix[src_at, dst_at] = self.transfer_model.time(
+                    transfer, src, dst)
+        if PERF.enabled:
+            PERF.incr("dp.transfer_matrix_builds")
+        if matrices is not None:
+            matrices[transfer.transfer_id] = matrix
+        return matrix
+
+    def stacked_tables(self) -> Optional[list]:
+        """Stacked gap tables per chain position, or None.
+
+        None when there is no context or any candidate calendar has no
+        materialized gap table — exactly the freshly mutated what-if
+        copies the scalar solver exists for; tables are never built
+        here.  Positions with no candidate rows stack as None (the batch
+        solver never queries them).
+        """
+        context = self.context
+        if context is None:
+            return None
+        stacks: list = []
+        for rows in self.rows:
+            if not rows:
+                stacks.append(None)
+                continue
+            # The rows carry their calendar versions (row[3]), so a
+            # cached stack is found without touching the per-calendar
+            # tables — the stacked arrays are self-contained copies.
+            stacked = context.cached_stack(tuple(row[3] for row in rows))
+            if stacked is None:
+                tables = []
+                for row in rows:
+                    table = context.gap_table(row[2], build=False)
+                    if table is None:
+                        return None
+                    tables.append(table)
+                stacked = context.stack_gap_tables(tables)
+            stacks.append(stacked)
+        return stacks
+
+    # ------------------------------------------------------------------
+
+    def solve(self, solver: Callable[..., tuple[Optional[ChainAllocation],
+                                                int]],
+              *args: object) -> Optional[ChainAllocation]:
+        """Run ``solver`` (pruned when warm), rerunning cold on None.
+
+        The incumbent proved a feasible solution exists, so None from a
+        pruned run would mean the bounds misfired; the cold rerun keeps
+        the answer exact.  ``evaluations`` counts both runs.
+        """
+        allocation, spent = solver(self, self.pruning, *args)
+        if allocation is None and self.pruning:
+            if PERF.enabled:  # pragma: no cover - defensive
+                PERF.incr("dp.warm_fallbacks")
+            allocation, extra = solver(self, False, *args)
+            spent += extra
+        if allocation is not None:
+            allocation.evaluations = spent
+        return allocation
 
 
 def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
@@ -117,7 +712,6 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
                    allowed_nodes: Optional[set[int]] = None,
                    objective: str = "cost",
                    hint: Optional[Mapping[str, int]] = None,
-                   engine: str = "auto",
                    context: Optional[SchedulingContext] = None,
                    ) -> Optional[ChainAllocation]:
     """Allocate every task of ``chain`` or return None if infeasible.
@@ -159,604 +753,69 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
         adjacent estimation level's allocation) used to seed an
         incumbent for branch-and-bound pruning.  Results are identical
         to ``hint=None``; only the expansion count drops.
-    engine:
-        ``"auto"`` (default) routes eligible calls — start-invariant
-        cost model, chain length ≥ 2, gap tables already materialized
-        for every candidate calendar — to the batched numpy engine and
-        everything else to the scalar recursion.  ``"scalar"`` forces
-        the recursion; ``"batch"`` forces the batch engine (building
-        missing gap tables) where eligible — both paths are
-        bit-identical, so the choice is purely about speed.
     context:
         The caller's :class:`~repro.core.context.SchedulingContext`,
         which owns every cache this function consults: the
         interval-witness fit cache, the per-(job, model) transfer-lag
         memo, the per-job duration memo, the per-(job, model, pool)
-        lag matrices of the batch engine, and the gap-table/stack
+        lag matrices of the batch solver, and the gap-table/stack
         caches.  All exact, so sharing a context across calls, levels,
         and jobs never changes results — only speed.  ``None`` runs
-        the call cacheless (and, in ``auto`` mode, scalar: no
-        materialized gap tables exist to batch over).
+        the call cacheless (and scalar: no materialized gap tables
+        exist to batch over).
 
         .. versionchanged:: PR 5
            replaces the removed ``fit_cache`` / ``transfer_cache`` /
            ``duration_cache`` / ``transfer_matrices`` keyword
            arguments; construct a context instead of threading dicts.
+
+    The batch solver takes start-invariant-cost chains of two or more
+    tasks with at least a dozen candidate rows at some position, once
+    every candidate calendar has a gap table
+    (:func:`materialize_gap_tables`); the rest — notably the mutated
+    what-if copies of collision repair — takes the recursion.
     """
-    if engine not in ("auto", "scalar", "batch"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if not chain:
-        return ChainAllocation([], 0.0, release, 0)
-    transfer_model = transfer_model or NeutralTransferModel()
-    cost_model = cost_model or VolumeOverTimeCost()
-    fixed = fixed or {}
-    if objective not in ("cost", "time"):
-        raise ValueError(f"unknown objective {objective!r}")
-    # Candidate rank is (cost, finish) or (finish, cost) per the chosen
-    # objective; the comparison is branch-specialized in the DP loop.
-    cost_mode = objective == "cost"
-    #: Start-time-invariant pricing (true for every built-in model)
-    #: makes per-(task, node) costs constants — the soundness
-    #: requirement for cost-objective lower bounds, and an opportunity
-    #: to price rows once instead of once per expansion.
-    invariant_cost = bool(getattr(cost_model, "time_invariant", False))
-
-    for earlier, later in zip(chain, chain[1:]):
-        if job.transfer_between(earlier, later) is None:
-            raise ValueError(
-                f"chain edge ({earlier!r}, {later!r}) is not in job "
-                f"{job.job_id!r}")
-    for task_id in chain:
-        if task_id in fixed:
-            raise ValueError(f"chain task {task_id!r} is already placed")
-
-    nodes = [node for node in pool
-             if allowed_nodes is None or node.node_id in allowed_nodes]
-    if not nodes:
+    problem = ChainProblem(job, chain, pool, calendars, deadline, level,
+                           transfer_model, cost_model, fixed, release,
+                           allowed_nodes, objective, hint, context)
+    if problem.infeasible:
         return None
+    stacks = None
+    if (problem.invariant_cost and len(chain) >= _BATCH_MIN_CHAIN
+            and max(len(rows) for rows in problem.rows) >= _BATCH_MIN_ROWS):
+        stacks = problem.stacked_tables()
+    if stacks is None:
+        return problem.solve(solve_scalar)
+    return problem.solve(solve_batch, stacks)
 
-    # Every cache below lives in the caller's context, scoped wide
-    # enough to be exact: lags per (job, transfer model), durations per
-    # job (pure value keys), lag matrices per (job, model, pool) — the
-    # batch engine indexes them by pool position.  Without a context
-    # the call runs cacheless: a private per-call lag dict (the DP asks
-    # for the same lag once per state expansion), no fit memo, no
-    # batched tables.
-    if context is not None:
-        fit_cache = context.fit_cache
-        transfer_cache = context.transfer_lags(job, transfer_model)
-        duration_cache = context.durations(job)
-        transfer_matrices = context.transfer_matrices(
-            job, transfer_model, pool)
-    else:
-        fit_cache = None
-        transfer_cache = {}
-        duration_cache = None
-        transfer_matrices = None
 
-    def transfer_time(transfer: DataTransfer, src_node: ProcessorNode,
-                      dst_node: ProcessorNode) -> int:
-        key = (transfer.transfer_id, src_node.node_id, dst_node.node_id)
-        lag = transfer_cache.get(key)
-        if lag is None:
-            if PERF.enabled:
-                PERF.incr("dp.transfer_cache_misses")
-            lag = transfer_model.time(transfer, src_node, dst_node)
-            transfer_cache[key] = lag
-        elif PERF.enabled:
-            PERF.incr("dp.transfer_cache_hits")
-        return lag
+def materialize_gap_tables(calendars: Mapping[int, ReservationCalendar],
+                           context: SchedulingContext) -> None:
+    """Build (or reuse, by version) gap tables for a snapshot wide
+    enough to pass the batch solver's row gate; narrower ones (the
+    domain pools of online flows) always take the scalar path."""
+    if len(calendars) >= _BATCH_MIN_ROWS:
+        for calendar in calendars.values():
+            context.gap_table(calendar)
 
-    def find_fit(row: list, earliest: int) -> Optional[int]:
-        """``earliest_fit`` through the row's interval-witness memo.
 
-        Witnesses exploit the monotone structure of ``earliest_fit``
-        for a fixed (calendar version, duration, deadline): an answer
-        ``(e1, s1)`` also answers every query in ``[e1, s1]`` with
-        ``s1`` (no earlier slot exists past ``e1``, and ``s1`` still
-        fits), and a failed probe at ``e1`` proves failure for every
-        query at or past ``e1`` (shrinking the search window never
-        creates slots).  One computed fit therefore covers a whole
-        interval of ``earliest`` values — exact, never heuristic.
+def solve_scalar(problem: ChainProblem, pruning: bool
+                 ) -> tuple[Optional[ChainAllocation], int]:
+    """Memoized recursion over states ``(position, previous node,
+    data-ready slot)``, one state at a time.
 
-        The row's bucket of the shared cache is attached on first use;
-        rows never queried through the scalar path (batch-engine rows,
-        pruned rows) skip the bucket lookup entirely.
-        """
-        fits = row[8]
-        if fits is None:
-            if fit_cache is None:
-                return row[2].earliest_fit(row[4], earliest=earliest,
-                                           deadline=row[6])
-            calendar_version = row[3]
-            fit_key = (row[1], calendar_version, row[4], row[6])
-            fits = fit_cache.get(fit_key)
-            if fits is None:
-                fits = ([], [])
-                fit_cache[fit_key] = fits
-            row[8] = fits
-        keys, starts = fits
-        position = bisect_right(keys, earliest) - 1
-        if position >= 0:
-            cached = starts[position]
-            if cached is None or earliest <= cached:
-                if PERF.enabled:
-                    PERF.incr("dp.fit_cache_hits")
-                return cached
-        if PERF.enabled:
-            PERF.incr("dp.fit_cache_misses")
-        start = row[2].earliest_fit(row[4], earliest=earliest,
-                                    deadline=row[6])
-        keys.insert(position + 1, earliest)
-        starts.insert(position + 1, start)
-        return start
-
-    # The external bounds (earliest start from already-placed
-    # predecessors, latest end from the deadline and placed successors)
-    # depend only on (task, node) — hoist them out of the DP inner
-    # loop.  The placed neighbours are collected once per task; only
-    # the transfer lags vary with the node.  Nodes that can never host
-    # a task (`floor + duration > ceiling` regardless of the data-ready
-    # time: the DP start bound is never below the external release) are
-    # dropped up front.  Rows also carry the node's calendar and its
-    # content version (constant for the whole call — the DP never
-    # mutates calendars) so the inner loop touches no dicts or
-    # properties to query availability.
-    # Row layout: [node, node_id, calendar, version, duration, floor,
-    #             ceiling, row_cost, fits] — a list, because row_cost is
-    #             filled lazily: start-time-invariant cost models price
-    #             a row once on first touch (or eagerly when warm-start
-    #             pruning needs every row for its lower bounds), so
-    #             rows the DP never visits are never priced.  ``fits``
-    #             is the row's interval-witness bucket of the shared
-    #             fit cache — a (keys, starts) pair of parallel sorted
-    #             lists.  Node, calendar version, duration, and ceiling
-    #             are all fixed per row, so they live in the bucket key
-    #             once instead of in every lookup.
-    node_info = [(node, calendars[node.node_id]) for node in nodes]
-    uniform_lag_fn = getattr(transfer_model, "uniform_lag", None)
-    if context is not None and allowed_nodes is None:
-        # ``nodes`` is the whole pool in pool order — the performance
-        # vector is then a constant of the pool, served from the
-        # session context instead of rebuilt per chain.
-        performances = context.pool_performances(pool)
-    else:
-        performances = np.fromiter((node.performance for node in nodes),
-                                   dtype=np.float64, count=len(nodes))
-    candidates: dict[str, list[tuple]] = {}
-    for task_id in chain:
-        job_task = job.task(task_id)
-        placed_preds = []
-        for pred in job.predecessors(task_id):
-            placed = fixed.get(pred)
-            if placed is None:
-                continue
-            transfer = job.transfer_between(pred, task_id)
-            if transfer is None:  # pragma: no cover - predecessors have edges
-                continue
-            placed_preds.append(
-                (placed.end, transfer, pool.node(placed.node_id)))
-        placed_succs = []
-        for succ in job.successors(task_id):
-            placed = fixed.get(succ)
-            if placed is None:
-                continue
-            transfer = job.transfer_between(task_id, succ)
-            if transfer is None:  # pragma: no cover - successors have edges
-                continue
-            placed_succs.append(
-                (placed.start, transfer, pool.node(placed.node_id)))
-
-        # Uniform-lag models (every built-in policy) make the external
-        # bounds node-independent except on the placed neighbours' own
-        # nodes: floor = max(pred end + lag) everywhere but on a
-        # producer's node, where that producer's lag drops to zero.
-        # Precomputing the shared bound (and the handful of neighbour
-        # node ids needing the exact loop) turns the per-node work from
-        # |preds| transfer lookups into one dict-free comparison.
-        pred_lags = succ_lags = None
-        if uniform_lag_fn is not None:
-            pred_lags = [(pred_end, uniform_lag_fn(transfer),
-                          src_node.node_id)
-                         for pred_end, transfer, src_node in placed_preds]
-            shared_floor = release
-            for pred_end, lag, _ in pred_lags:
-                bound = pred_end + lag
-                if bound > shared_floor:
-                    shared_floor = bound
-            pred_ids = {src_id for _, _, src_id in pred_lags}
-            succ_lags = [(succ_start, uniform_lag_fn(transfer),
-                          dst_node.node_id)
-                         for succ_start, transfer, dst_node in placed_succs]
-            shared_ceiling = deadline
-            for succ_start, lag, _ in succ_lags:
-                bound = succ_start - lag
-                if bound < shared_ceiling:
-                    shared_ceiling = bound
-            succ_ids = {dst_id for _, _, dst_id in succ_lags}
-
-        # Durations are computed for all nodes in one vectorized sweep
-        # the first time a (task, level) misses the shared cache —
-        # online flows see every job cold, so misses arrive in whole
-        # per-task batches.  ``duration_array`` runs the same float ops
-        # as ``duration_on``, so cached and fresh values agree exactly.
-        task_durations: Optional[list[int]] = None
-        rows = []
-        for position, (node, calendar) in enumerate(node_info):
-            if duration_cache is None:
-                if task_durations is None:
-                    task_durations = job_task.duration_array(
-                        performances, level).tolist()
-                duration = task_durations[position]
-            else:
-                dur_key = (task_id, node.node_id, level)
-                duration = duration_cache.get(dur_key)
-                if duration is None:
-                    if PERF.enabled:
-                        PERF.incr("dp.duration_cache_misses")
-                    if task_durations is None:
-                        task_durations = job_task.duration_array(
-                            performances, level).tolist()
-                    duration = task_durations[position]
-                    duration_cache[dur_key] = duration
-                elif PERF.enabled:
-                    PERF.incr("dp.duration_cache_hits")
-            if pred_lags is None:
-                floor = release
-                for pred_end, transfer, src_node in placed_preds:
-                    bound = pred_end + transfer_time(transfer, src_node,
-                                                     node)
-                    if bound > floor:
-                        floor = bound
-            elif node.node_id in pred_ids:
-                floor = release
-                for pred_end, lag, src_id in pred_lags:
-                    bound = (pred_end if src_id == node.node_id
-                             else pred_end + lag)
-                    if bound > floor:
-                        floor = bound
-            else:
-                floor = shared_floor
-            if succ_lags is None:
-                ceiling = deadline
-                for succ_start, transfer, dst_node in placed_succs:
-                    bound = succ_start - transfer_time(transfer, node,
-                                                       dst_node)
-                    if bound < ceiling:
-                        ceiling = bound
-            elif node.node_id in succ_ids:
-                ceiling = deadline
-                for succ_start, lag, dst_id in succ_lags:
-                    bound = (succ_start if dst_id == node.node_id
-                             else succ_start - lag)
-                    if bound < ceiling:
-                        ceiling = bound
-            else:
-                ceiling = shared_ceiling
-            if floor + duration > ceiling:
-                continue
-            # The fit-cache bucket (row[8]) is attached lazily by
-            # ``find_fit`` on the row's first scalar query: rows served
-            # by the batch kernel — and rows the scalar DP prunes away —
-            # never pay the bucket lookup.
-            rows.append([node, node.node_id, calendar, calendar.version,
-                         duration, floor, ceiling, None, None])
-        # An empty row set is kept (not short-circuited) so the DP
-        # explores — and counts — exactly the states it always did.
-        candidates[task_id] = rows
-
-    # Models declaring a ``price_key`` are pure functions of
-    # (volume, duration, node), so their row prices memo across calls
-    # in the session context — template siblings re-price the same
-    # triples on every replan otherwise.
-    price_key = getattr(cost_model, "price_key", None)
-    price_memo = (context.price_memo
-                  if context is not None and price_key is not None
-                  else None)
-
-    def price_row(task_id: str, row: list) -> float:
-        """The row's (start-invariant) cost, cached on the row."""
-        if price_memo is not None:
-            memo_key = (price_key, job.task(task_id).volume, row[4],
-                        row[1])
-            row_cost = price_memo.get(memo_key)
-            if row_cost is None:
-                row_cost = cost_model.task_cost(
-                    job.task(task_id),
-                    Placement(task_id, row[1], row[5], row[5] + row[4]),
-                    row[0])
-                price_memo[memo_key] = row_cost
-        else:
-            row_cost = cost_model.task_cost(
-                job.task(task_id),
-                Placement(task_id, row[1], row[5], row[5] + row[4]),
-                row[0])
-        row[7] = row_cost
-        return row_cost
-
-    def hint_incumbent() -> Optional[float]:
-        """Primary value of the hinted assignment on these calendars.
-
-        Returns None when the hint does not re-fit (different level,
-        drifted node, disallowed node) — the run is then simply cold.
-        """
-        assert hint is not None
-        prev_node: Optional[ProcessorNode] = None
-        ready = release
-        total_cost = 0.0
-        finish = release
-        for index, task_id in enumerate(chain):
-            hinted = hint.get(task_id)
-            if hinted is None:
-                return None
-            row = next((r for r in candidates[task_id]
-                        if r[1] == hinted), None)
-            if row is None:
-                return None
-            node = row[0]
-            duration, floor, ceiling, row_cost = row[4:8]
-            incoming = (job.transfer_between(chain[index - 1], task_id)
-                        if index > 0 else None)
-            if incoming is None or prev_node is None:
-                start_bound = ready
-            else:
-                start_bound = ready + transfer_time(incoming, prev_node, node)
-            if floor > start_bound:
-                start_bound = floor
-            if start_bound + duration > ceiling:
-                return None
-            start = find_fit(row, start_bound)
-            if start is None:
-                return None
-            end = start + duration
-            if cost_mode:
-                # Only reached when the cost model is start-invariant
-                # (pruning is gated on it), so the row price applies.
-                total_cost += (row_cost if row_cost is not None
-                               else price_row(task_id, row))
-            ready = end
-            finish = end
-            prev_node = node
-        return total_cost if cost_mode else float(finish)
-
-    def greedy_incumbent(by_finish: bool = False) -> Optional[float]:
-        """Primary value of a hint-preferring greedy descent.
-
-        A fallback incumbent for hinted runs whose hint no longer
-        re-fits *as a whole*: each step first re-tries the task's own
-        hinted row — tasks whose nodes kept their slots keep their
-        assignment, so only the drifted remainder is re-chosen — and
-        otherwise takes the cheapest (cost mode) or earliest-finishing
-        (time mode) feasible row.  This is what makes plan repair
-        incremental: a stale plan with one stolen slot re-derives an
-        incumbent that differs from the hint in exactly the patched
-        tasks.  ``by_finish`` forces the earliest-finish choice even in
-        cost mode — a second descent for deadline-tight chains where
-        cheapest-first painted itself past the ceiling; the returned
-        value is still that chain's exact cost, so it remains a sound
-        upper bound.  No backtracking — a dead end returns None and the
-        run is simply cold.  Incumbents only prune (exact bounds), so
-        the returned allocation is bit-identical to a cold run's; only
-        ``evaluations`` (the pruned state count, and with it the
-        study's ``generation_expense``) shrinks.
-        """
-        prev_node: Optional[ProcessorNode] = None
-        ready = release
-        total_cost = 0.0
-        finish = release
-        for index, task_id in enumerate(chain):
-            rows = candidates[task_id]
-            incoming = (job.transfer_between(chain[index - 1], task_id)
-                        if index > 0 else None)
-            hinted = hint.get(task_id) if hint is not None else None
-            if hinted is not None:
-                hinted_row = next((r for r in rows if r[1] == hinted),
-                                  None)
-                if hinted_row is not None:
-                    node = hinted_row[0]
-                    duration, floor, ceiling = hinted_row[4:7]
-                    if incoming is None or prev_node is None:
-                        start_bound = ready
-                    else:
-                        start_bound = ready + transfer_time(
-                            incoming, prev_node, node)
-                    if floor > start_bound:
-                        start_bound = floor
-                    if start_bound + duration <= ceiling:
-                        start = find_fit(hinted_row, start_bound)
-                        if start is not None:
-                            if cost_mode:
-                                row_cost = hinted_row[7]
-                                total_cost += (
-                                    row_cost if row_cost is not None
-                                    else price_row(task_id, hinted_row))
-                            prev_node = node
-                            ready = start + duration
-                            finish = ready
-                            continue
-            if cost_mode and not by_finish:
-                # Start-invariant prices: cheapest-first order, first
-                # feasible row wins the step.
-                rows = sorted(rows, key=lambda row: (
-                    row[7] if row[7] is not None
-                    else price_row(task_id, row)))
-            chosen_row = None
-            chosen_end = 0
-            for row in rows:
-                node = row[0]
-                duration, floor, ceiling = row[4], row[5], row[6]
-                if incoming is None or prev_node is None:
-                    start_bound = ready
-                else:
-                    start_bound = ready + transfer_time(incoming,
-                                                        prev_node, node)
-                if floor > start_bound:
-                    start_bound = floor
-                if start_bound + duration > ceiling:
-                    continue
-                start = find_fit(row, start_bound)
-                if start is None:
-                    continue
-                end = start + duration
-                if cost_mode and not by_finish:
-                    chosen_row, chosen_end = row, end
-                    break
-                if chosen_row is None or end < chosen_end:
-                    chosen_row, chosen_end = row, end
-            if chosen_row is None:
-                return None
-            if cost_mode:
-                row_cost = chosen_row[7]
-                total_cost += (row_cost if row_cost is not None
-                               else price_row(task_id, chosen_row))
-            prev_node = chosen_row[0]
-            ready = chosen_end
-            finish = chosen_end
-        return total_cost if cost_mode else float(finish)
-
-    # Warm start: re-fit the hinted allocation to obtain a feasible
-    # incumbent, then prune partial chains whose admissible lower bound
-    # is *strictly* worse.  tail_lb[i] bounds the primary criterion of
-    # chain[i:] from below (per-task minimum over candidate rows;
-    # transfer lags, being non-negative, are soundly dropped).
-    pruning = False
-    allowance_top = _INFINITY
-    tail_lb: list[float] = []
-    # Single-task chains cannot profit: the cold DP touches each row
-    # exactly once, which is no more work than building the incumbent
-    # and the lower bounds would be.
-    if hint is not None and len(chain) > 1 and (invariant_cost
-                                                or not cost_mode):
-        if cost_mode:
-            # The incumbent and lower bounds below touch every row's
-            # price; models with a vectorized pricer fill them in one
-            # sweep per task instead of one Placement-building call per
-            # row (tolist() round-trips float64 exactly, so the values
-            # match price_row bit for bit).
-            cost_array_fn = getattr(cost_model, "task_cost_array", None)
-            if cost_array_fn is not None:
-                for task_id in chain:
-                    rows = candidates[task_id]
-                    if len(rows) < _BATCH_MIN_ROWS:
-                        # Below the batching crossover the array
-                        # round-trip costs more than pricing the few
-                        # rows on demand (``price_row`` fills them).
-                        continue
-                    priced = cost_array_fn(
-                        job.task(task_id),
-                        np.fromiter((row[4] for row in rows),
-                                    dtype=np.int64, count=len(rows)),
-                        [row[0] for row in rows])
-                    for row, value in zip(rows, priced.tolist()):
-                        row[7] = value
-        incumbent = hint_incumbent()
-        if incumbent is None:
-            # The hint no longer re-fits (drifted calendars, collision
-            # on a hinted node) — a greedy descent still recovers an
-            # incumbent most of the time.
-            incumbent = greedy_incumbent()
-            if incumbent is None and cost_mode:
-                # Cheapest-first can paint itself past a tight ceiling;
-                # an earliest-finish descent maximizes slack and often
-                # still completes the chain.
-                incumbent = greedy_incumbent(by_finish=True)
-            if incumbent is not None and PERF.enabled:
-                PERF.incr("dp.greedy_incumbents")
-        if incumbent is not None:
-            pruning = True
-            allowance_top = incumbent
-            tail_lb = [0.0] * (len(chain) + 1)
-            for position in range(len(chain) - 1, -1, -1):
-                step_task = chain[position]
-                rows = candidates[step_task]
-                if cost_mode:
-                    # The lower bound needs every row priced (min over
-                    # the task's candidates).
-                    step = min((r[7] if r[7] is not None
-                                else price_row(step_task, r)
-                                for r in rows), default=_INFINITY)
-                else:
-                    step = min((r[4] for r in rows), default=_INFINITY)
-                tail_lb[position] = step + tail_lb[position + 1]
-            if PERF.enabled:
-                PERF.incr("dp.incumbents_warm")
-        elif PERF.enabled:
-            PERF.incr("dp.incumbents_cold")
-
+    Returns ``(allocation or None, evaluations)``; ``pruning`` prunes
+    against the problem's warm incumbent.
+    """
+    # The recursion reads everything through locals (closure cells).
+    chain, rows_at, tail_lb = problem.chain, problem.rows, problem.tail_lb
+    incoming_by_index, uniform_by_index = problem.incoming, problem.uniform
+    cost_mode, invariant_cost = problem.cost_mode, problem.invariant_cost
+    cost_model, transfer_model = problem.cost_model, problem.transfer_model
+    transfer_cache, fit_cache = problem.transfer_cache, problem.fit_cache
+    lag_cache_get = transfer_cache.get
+    price_row, pool = problem.price_row, problem.pool
     chain_length = len(chain)
-    # Per-position constants, hoisted so each state expansion touches
-    # lists instead of re-querying the job graph.
-    incoming_by_index: list[Optional[DataTransfer]] = [None] * chain_length
-    for position in range(1, chain_length):
-        incoming_by_index[position] = job.transfer_between(
-            chain[position - 1], chain[position])
-    tasks_by_index = [job.task(task_id) for task_id in chain]
-    # Uniform-lag models collapse each edge's lag to one constant (zero
-    # co-located): the scalar inner loop then compares node ids instead
-    # of consulting the transfer cache at all.
-    uniform_by_index: list[Optional[int]] = [None] * chain_length
-    if uniform_lag_fn is not None:
-        for position in range(1, chain_length):
-            uniform_by_index[position] = uniform_lag_fn(
-                incoming_by_index[position])
-
-    def lag_matrix(transfer: DataTransfer) -> np.ndarray:
-        """The transfer's (pool src × pool dst) lag matrix, memoized in
-        the context so the batch engine pays one build per (job, model,
-        pool, edge) instead of per call."""
-        matrix = (transfer_matrices.get(transfer.transfer_id)
-                  if transfer_matrices is not None else None)
-        if matrix is not None:
-            return matrix
-        pool_nodes = list(pool)
-        size = len(pool_nodes)
-        matrix = np.empty((size, size), dtype=np.int64)
-        for src_at, src in enumerate(pool_nodes):
-            for dst_at, dst in enumerate(pool_nodes):
-                matrix[src_at, dst_at] = transfer_model.time(
-                    transfer, src, dst)
-        if PERF.enabled:
-            PERF.incr("dp.transfer_matrix_builds")
-        if transfer_matrices is not None:
-            transfer_matrices[transfer.transfer_id] = matrix
-        return matrix
-
-    # Engine dispatch.  The batch engine needs start-invariant row
-    # prices (both objectives rank on cost) and a materialized gap
-    # table per candidate calendar; in ``auto`` mode a missing table —
-    # the signature of a freshly mutated what-if copy — routes the call
-    # to the scalar recursion instead of paying a rebuild.  Both
-    # engines share the incumbent machinery above and return
-    # bit-identical allocations (see ``_allocate_batch``).
-    if (engine != "scalar" and invariant_cost
-            and chain_length >= (_BATCH_MIN_CHAIN if engine == "auto"
-                                 else 1)
-            and (engine == "batch"
-                 or max(len(candidates[task_id]) for task_id in chain)
-                 >= _BATCH_MIN_ROWS)):
-        stacks = _stacked_tables(chain, candidates,
-                                 build=engine == "batch", context=context)
-        if stacks is not None:
-            allocation, spent = _allocate_batch(
-                job, chain, pool, candidates, stacks, incoming_by_index,
-                release, cost_mode, transfer_model, lag_matrix,
-                cost_model, price_row, pruning, allowance_top, tail_lb)
-            if allocation is None and pruning:
-                # Mirrors the scalar defensive fallback: the incumbent
-                # proved feasibility, so rerun cold rather than ever
-                # returning a divergent answer.
-                if PERF.enabled:  # pragma: no cover - defensive
-                    PERF.incr("dp.warm_fallbacks")
-                allocation, extra = _allocate_batch(
-                    job, chain, pool, candidates, stacks, incoming_by_index,
-                    release, cost_mode, transfer_model, lag_matrix,
-                    cost_model, price_row, False, _INFINITY, tail_lb)
-                spent += extra
-            if allocation is None:
-                return None
-            allocation.evaluations = spent
-            return allocation
-
     evaluations = 0
     # memo[(index, prev_node_id, ready)] ->
     #   (cost, finish, chosen node, start, end, next state key,
@@ -768,7 +827,6 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
     # Placements are only materialized during reconstruction — the DP
     # itself works on plain ints.
     memo: dict[tuple[int, Optional[int], int], tuple] = {}
-    lag_cache_get = transfer_cache.get
 
     def best_from(index: int, prev_node_id: Optional[int], ready: int,
                   allowance: float) -> tuple[float, int, bool]:
@@ -803,7 +861,7 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
         complete = True
         best_cost = best_finish = _INFINITY
         best_node = best_start = best_end = None
-        for row in candidates[task_id]:
+        for row in rows_at[index]:
             (node, node_id, calendar, version, duration, floor, end_bound,
              row_cost, fits) = row
             if no_incoming:
@@ -843,7 +901,7 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
                     if perf_on:
                         PERF.incr("dp.pruned")
                     continue
-            # Inlined find_fit (see above): the fit query dominates the
+            # Inlined ChainProblem.find_fit: the fit query dominates the
             # inner loop, so the interval-witness lookup avoids a call.
             # Buckets attach lazily on the row's first query — rows the
             # DP never reaches stay bucket-free.
@@ -881,10 +939,10 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
             if row_cost is not None:
                 own_cost = row_cost
             elif invariant_cost:
-                own_cost = price_row(task_id, row)
+                own_cost = price_row(index, row)
             else:
                 own_cost = cost_model.task_cost(
-                    tasks_by_index[index],
+                    problem.tasks[index],
                     Placement(task_id, node_id, start, end), node)
             child_allowance = (allowance - own_cost if cost_mode
                                else allowance)
@@ -938,92 +996,35 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
                      best_end, next_key, exact, allowance)
         return best_cost, best_finish, exact
 
-    start_key = (0, None, release)
-    total_cost, finish, _ = best_from(0, None, release, allowance_top)
-    if total_cost == _INFINITY and pruning:
-        # The incumbent proved a feasible solution exists, so an
-        # infeasible answer would mean the bounds misfired; fall back
-        # to an exact cold pass rather than ever diverging from it.
-        if PERF.enabled:  # pragma: no cover - defensive
-            PERF.incr("dp.warm_fallbacks")
-        memo.clear()
-        pruning = False
-        total_cost, finish, _ = best_from(0, None, release, _INFINITY)
+    release = problem.release
+    total_cost, finish, _ = best_from(
+        0, None, release, problem.allowance if pruning else _INFINITY)
     if total_cost == _INFINITY:
-        return None
+        return None, evaluations
 
     placements: list[Placement] = []
-    key = start_key
+    key: Optional[tuple] = (0, None, release)
     while key is not None and key[0] < chain_length:
         entry = memo[key]
         placements.append(
             Placement(chain[key[0]], entry[2], entry[3], entry[4]))
         key = entry[5]
-    return ChainAllocation(placements, total_cost, int(finish), evaluations)
+    return (ChainAllocation(placements, total_cost, int(finish), evaluations),
+            evaluations)
 
 
-def _stacked_tables(chain: Sequence[str],
-                    candidates: Mapping[str, list],
-                    build: bool,
-                    context: Optional[SchedulingContext]) -> Optional[list]:
-    """Stacked gap tables per chain position, or None to force scalar.
-
-    With ``build=False`` (the ``auto`` engine) any candidate calendar
-    without a materialized gap table vetoes the batch path — exactly
-    the freshly mutated what-if copies the scalar fallback exists for.
-    Positions with no candidate rows stack as None (the batch engine
-    never queries them).  Without a context there is nothing to probe
-    or memoize: ``build=False`` always vetoes, ``build=True`` stacks
-    fresh tables per call.
-    """
-    stacks: list = []
-    for task_id in chain:
-        rows = candidates[task_id]
-        if not rows:
-            stacks.append(None)
-            continue
-        if context is None:
-            if not build:
-                return None
-            stacks.append(_placement.StackedGaps(
-                [row[2].gap_table() for row in rows]))
-            continue
-        # The rows carry their calendar versions (row[3]), so a cached
-        # stack is found without touching the per-calendar tables — the
-        # stacked arrays are self-contained copies of the gap data.
-        stacked = context.cached_stack(tuple(row[3] for row in rows))
-        if stacked is None:
-            tables = []
-            for row in rows:
-                table = context.gap_table(row[2], build=build)
-                if table is None:
-                    return None
-                tables.append(table)
-            stacked = context.stack_gap_tables(tables)
-        stacks.append(stacked)
-    return stacks
-
-
-def _allocate_batch(job: Job, chain: Sequence[str], pool: ResourcePool,
-                    candidates: Mapping[str, list], stacks: list,
-                    incoming_by_index: Sequence[Optional[DataTransfer]],
-                    release: int, cost_mode: bool,
-                    transfer_model: TransferModel,
-                    lag_matrix: Callable[[DataTransfer], np.ndarray],
-                    cost_model: CostModel,
-                    price_row: Callable[[str, list], float],
-                    pruning: bool, allowance: float,
-                    tail_lb: Sequence[float]
-                    ) -> tuple[Optional[ChainAllocation], int]:
+def solve_batch(problem: ChainProblem, pruning: bool, stacks: list
+                ) -> tuple[Optional[ChainAllocation], int]:
     """Level-synchronous batched DP over the candidate rows.
 
     The scalar recursion explores states ``(position, previous node,
-    data-ready slot)`` one at a time; this engine sweeps the whole
+    data-ready slot)`` one at a time; this solver sweeps the whole
     state *level* of each chain position at once: an ``states × rows``
     start-bound matrix (one lag-matrix gather + floor clamp), a
     feasibility/pruning mask, one :func:`~repro.core.placement.
-    batch_earliest_fit` call for every surviving pair, and an
-    ``np.unique`` dedup of ``(node, end)`` successor states.  The
+    batch_earliest_fit` call over ``stacks`` (the problem's
+    :meth:`~ChainProblem.stacked_tables`) for every surviving pair, and
+    an ``np.unique`` dedup of ``(node, end)`` successor states.  The
     backward pass then ranks each state's candidates with vectorized
     lexicographic argmins.
 
@@ -1044,15 +1045,15 @@ def _allocate_batch(job: Job, chain: Sequence[str], pool: ResourcePool,
     * the expansion count is the number of states entering each
       position — exactly the states the cold recursion would expand.
 
-    Returns ``(allocation or None, evaluations)``; the caller owns the
-    defensive cold rerun when pruning yields None.
+    Returns ``(allocation or None, evaluations)``.
     """
-    pool_nodes = list(pool)
-    pool_position = {node.node_id: index
-                     for index, node in enumerate(pool_nodes)}
+    chain = problem.chain
     chain_length = len(chain)
-    cost_array_fn = getattr(cost_model, "task_cost_array", None)
-    uniform_fn = getattr(transfer_model, "uniform_lag", None)
+    cost_mode = problem.cost_mode
+    tail_lb = problem.tail_lb
+    allowance = problem.allowance
+    pool_position = {node.node_id: index
+                     for index, node in enumerate(problem.pool)}
 
     # Candidate rows as per-position SoA columns.
     col_pos: list[np.ndarray] = []
@@ -1060,34 +1061,24 @@ def _allocate_batch(job: Job, chain: Sequence[str], pool: ResourcePool,
     col_floor: list[np.ndarray] = []
     col_ceiling: list[np.ndarray] = []
     col_cost: list[np.ndarray] = []
-    for task_id in chain:
-        rows = candidates[task_id]
+    for index, rows in enumerate(problem.rows):
         count = len(rows)
         col_pos.append(np.fromiter((pool_position[row[1]] for row in rows),
                                    dtype=np.int64, count=count))
-        durations = np.fromiter((row[4] for row in rows), dtype=np.int64,
-                                count=count)
-        col_dur.append(durations)
+        col_dur.append(np.fromiter((row[4] for row in rows), dtype=np.int64,
+                                   count=count))
         col_floor.append(np.fromiter((row[5] for row in rows),
                                      dtype=np.int64, count=count))
         col_ceiling.append(np.fromiter((row[6] for row in rows),
                                        dtype=np.int64, count=count))
-        if count and cost_array_fn is not None:
-            # Vectorized row pricing — elementwise the same float ops
-            # as CostModel.task_cost, so the values are bit-identical.
-            costs = np.asarray(
-                cost_array_fn(job.task(task_id), durations,
-                              [row[0] for row in rows]), dtype=np.float64)
-        else:
-            costs = np.fromiter(
-                (row[7] if row[7] is not None else price_row(task_id, row)
-                 for row in rows), dtype=np.float64, count=count)
-        col_cost.append(costs)
+        problem.price_rows(index)
+        col_cost.append(np.fromiter((row[7] for row in rows),
+                                    dtype=np.float64, count=count))
 
     # Forward sweep: enumerate the reachable state level of every
     # position (ready slots per pool position), recording the feasible
     # (state, row) pairs and their fitted start/end slots.
-    states_ready = np.full(1, release, dtype=np.int64)
+    states_ready = np.full(1, problem.release, dtype=np.int64)
     states_pos = np.full(1, -1, dtype=np.int64)
     # Minimum prefix cost per state — the pruning bound's g-value.
     states_cost = np.zeros(1, dtype=np.float64)
@@ -1109,13 +1100,12 @@ def _allocate_batch(job: Job, chain: Sequence[str], pool: ResourcePool,
             continue
         durations = col_dur[index]
         ceilings = col_ceiling[index]
-        incoming = incoming_by_index[index]
+        incoming = problem.incoming[index]
         if incoming is None:
             start_bound = np.maximum(states_ready[:, None],
                                      col_floor[index][None, :])
         else:
-            uniform = (uniform_fn(incoming) if uniform_fn is not None
-                       else None)
+            uniform = problem.uniform[index]
             if uniform is not None:
                 # Constant cross-node lag: one masked add replaces the
                 # node × node matrix gather.
@@ -1124,8 +1114,8 @@ def _allocate_batch(job: Job, chain: Sequence[str], pool: ResourcePool,
                     states_ready[:, None],
                     states_ready[:, None] + uniform)
             else:
-                start_bound = states_ready[:, None] + lag_matrix(incoming)[
-                    states_pos[:, None], col_pos[index][None, :]]
+                start_bound = states_ready[:, None] + problem.lag_matrix(
+                    incoming)[states_pos[:, None], col_pos[index][None, :]]
             np.maximum(start_bound, col_floor[index][None, :],
                        out=start_bound)
         feasible = start_bound + durations[None, :] <= ceilings[None, :]
@@ -1199,7 +1189,7 @@ def _allocate_batch(job: Job, chain: Sequence[str], pool: ResourcePool,
     for index in range(chain_length):
         pair = int(picks[index][state])
         _, row_at, starts, ends, successor, _ = pairs[index]
-        row = candidates[chain[index]][int(row_at[pair])]
+        row = problem.rows[index][int(row_at[pair])]
         placements.append(Placement(
             chain[index], row[1], int(starts[pair]), int(ends[pair])))
         state = int(successor[pair])

@@ -41,8 +41,10 @@ Counter names reported by the kernel
     reserved for caches owned by the
     :class:`~repro.core.context.SchedulingContext`.
 ``dp.greedy_incumbents``
-    Cold-hint recoveries: the warm-start hint no longer re-fit, but a
-    greedy descent still produced a feasible incumbent to prune with.
+    Hint recoveries: the warm-start hint no longer re-fit as a whole,
+    but the hint-preferring greedy descent left it where it had to and
+    still produced a feasible incumbent to prune with (a subset of
+    ``dp.incumbents_warm``).
 ``dp.transfer_cache_hits`` / ``dp.transfer_cache_misses``
     Per-``(transfer, src, dst)`` transfer-time memoization — the
     context's per-(job, transfer model) lag memo.

@@ -5,11 +5,13 @@ import itertools
 import pytest
 
 from repro.core.calendar import ReservationCalendar
+from repro.core.context import SchedulingContext
 from repro.core.costs import VolumeOverTimeCost
 from repro.core.dp import allocate_chain
 from repro.core.job import DataTransfer, Job, Task
 from repro.core.resources import ProcessorNode, ResourcePool
 from repro.core.schedule import Placement
+from repro.perf import PERF
 
 
 def make_pool(*performances):
@@ -163,6 +165,15 @@ def test_rejects_non_chain_input():
         allocate_chain(job, ["A", "C"], pool, empty_calendars(pool), 20)
 
 
+@pytest.mark.parametrize("chain", [[], ["A"]])
+def test_rejects_unknown_objective_even_for_empty_chain(chain):
+    job = chain_job()
+    pool = make_pool(1.0)
+    with pytest.raises(ValueError, match="objective"):
+        allocate_chain(job, chain, pool, empty_calendars(pool), 20,
+                       objective="bogus")
+
+
 def test_rejects_already_fixed_chain_task():
     job = chain_job()
     pool = make_pool(1.0)
@@ -301,3 +312,31 @@ def test_hint_on_infeasible_instance_still_returns_none():
     hint = {"A": 1, "B": 1, "C": 1}
     assert allocate_chain(job, chain, pool, empty_calendars(pool), 3,
                           hint=hint) is None
+
+
+def test_greedy_incumbent_counter_counts_only_descents_off_the_hint():
+    """``dp.greedy_incumbents`` counts warm incumbents whose descent had
+    to leave the hint; a hint that re-fits whole is not one of them."""
+    job = chain_job()
+    pool = make_pool(1.0, 0.5, 1 / 3)
+    chain = ["A", "B", "C"]
+    cold = allocate_chain(job, chain, pool, empty_calendars(pool), 25)
+    hint = {p.task_id: p.node_id for p in cold.placements}
+
+    def counted(calendars, warm_hint):
+        with PERF.collecting() as registry:
+            warm = allocate_chain(job, chain, pool, calendars, 25,
+                                  hint=warm_hint,
+                                  context=SchedulingContext())
+        assert warm is not None
+        expected = allocate_chain(job, chain, pool, calendars, 25)
+        assert warm.placements == expected.placements
+        return (registry.counters.get("dp.incumbents_warm", 0),
+                registry.counters.get("dp.greedy_incumbents", 0),
+                registry.counters.get("dp.incumbents_cold", 0))
+
+    assert counted(empty_calendars(pool), hint) == (1, 0, 0)
+    assert counted(empty_calendars(pool), {"A": hint["A"]}) == (1, 1, 0)
+    blocked = empty_calendars(pool)
+    blocked[hint["B"]].reserve(0, 25, tag="bg")
+    assert counted(blocked, hint) == (1, 1, 0)
