@@ -171,9 +171,10 @@ class LruCache(Generic[K, V]):
                 f"/{self.capacity}, {self.evictions} evicted>")
 
 
-#: Interval-witness bucket: parallel sorted (earliest, start) lists
+#: Interval-witness bucket: one list, the sorted ``earliest`` keys in
+#: its first half and their starts (``None``: no fit) in its second
 #: (see :meth:`repro.core.dp.ChainProblem.find_fit`).
-_FitBucket = Tuple[List[int], List[Optional[int]]]
+_FitBucket = List[Optional[int]]
 #: Fit-cache key: (node id, calendar version, duration, deadline).
 _FitKey = Tuple[int, int, int, int]
 #: Plan-skeleton key: (job shape hash, strategy family, domain).

@@ -34,10 +34,15 @@ Incremental generation (two orthogonal mechanisms, both exact):
   witnesses*: one computed fit at ``e1`` answering ``s1`` covers every
   query in ``[e1, s1]``, and one failure covers every query at or past
   its probe — both consequences of ``earliest_fit``'s monotonicity in
-  ``earliest``.  Entries written by earlier calls — previous estimation
-  levels, previous arrivals — stay valid exactly as long as the node is
-  untouched, so invalidation is O(nodes touched): a mutated node simply
-  stops matching its old keys.
+  ``earliest``.  A bucket is one flat list: its first half holds the
+  sorted probe keys (``earliest`` values), its second half their
+  answers in the same order (``None``: no fit from that key on) — one
+  GC-tracked object per bucket, which matters because a full cache is
+  most of the live heap the cyclic GC walks.  Entries
+  written by earlier calls — previous estimation levels, previous
+  arrivals — stay valid exactly as long as the node is untouched, so
+  invalidation is O(nodes touched): a mutated node simply stops
+  matching its old keys.
 
 * ``hint`` — a warm start: the adjacent estimation level's allocation,
   re-evaluated on the current calendars to obtain a feasible
@@ -186,20 +191,18 @@ class ChainProblem:
         # Every cache lives in the caller's context, scoped wide enough
         # to be exact: lags per (job, transfer model), durations per job
         # (pure value keys), lag matrices per (job, model, pool) — the
-        # batch solver indexes them by pool position.  Without a context
-        # the call runs cacheless: a private lag dict (the DP asks for
-        # the same lag once per state expansion), no fit memo, no
-        # batched tables.
+        # batch solver indexes them by pool position, and fetches them
+        # only when it builds one (:meth:`lag_matrix`).  Without a
+        # context the call runs cacheless: a private lag dict (the DP
+        # asks for the same lag once per state expansion), no fit memo,
+        # no batched tables.
         if context is not None:
             self.fit_cache = context.fit_cache
             self.transfer_cache = context.transfer_lags(job, transfer_model)
-            self.transfer_matrices = context.transfer_matrices(
-                job, transfer_model, pool)
         else:
             self.fit_cache = None
             # lint: context-cache (private lag memo of a contextless call)
             self.transfer_cache = {}
-            self.transfer_matrices = None
 
         # Models declaring a ``price_key`` are pure functions of
         # (volume, duration, node), so their row prices memo across
@@ -552,6 +555,13 @@ class ChainProblem:
         query at or past ``e1`` (shrinking the search window never
         creates slots).  One computed fit therefore covers a whole
         interval of ``earliest`` values — exact, never heuristic.
+
+        The bucket ``fits`` is one list of even length ``2n``:
+        ``fits[:n]`` are the sorted probe keys, ``fits[n:]`` their
+        answers (``None``: no fit from that key on).  A lookup bisects
+        the first half only; an insert writes the answer first, then
+        the key, so both halves stay aligned.  An empty bucket is falsy
+        — a missing one is told apart with ``is None`` only.
         :func:`solve_scalar` inlines the same lookup.
         """
         fits = row[8]
@@ -563,13 +573,13 @@ class ChainProblem:
             fit_key = (row[1], calendar_version, row[4], row[6])
             fits = self.fit_cache.get(fit_key)
             if fits is None:
-                fits = ([], [])
+                fits = []
                 self.fit_cache[fit_key] = fits
             row[8] = fits
-        keys, starts = fits
-        position = bisect_right(keys, earliest) - 1
+        half = len(fits) >> 1
+        position = bisect_right(fits, earliest, 0, half) - 1
         if position >= 0:
-            cached = starts[position]
+            cached = fits[half + position]
             if cached is None or earliest <= cached:
                 if PERF.enabled:
                     PERF.incr("dp.fit_cache_hits")
@@ -578,8 +588,8 @@ class ChainProblem:
             PERF.incr("dp.fit_cache_misses")
         start = row[2].earliest_fit(row[4], earliest=earliest,
                                     deadline=row[6])
-        keys.insert(position + 1, earliest)
-        starts.insert(position + 1, start)
+        fits.insert(half + position + 1, start)
+        fits.insert(position + 1, earliest)
         return start
 
     def price_row(self, index: int, row: list) -> float:
@@ -628,8 +638,11 @@ class ChainProblem:
     def lag_matrix(self, transfer: DataTransfer) -> np.ndarray:
         """The transfer's (pool src × pool dst) lag matrix, memoized in
         the context so the batch solver pays one build per (job, model,
-        pool, edge) instead of per call."""
-        matrices = self.transfer_matrices
+        pool, edge) instead of per call.  The memo is looked up here,
+        not at preparation: most calls never batch."""
+        matrices = (self.context.transfer_matrices(
+            self.job, self.transfer_model, self.pool)
+            if self.context is not None else None)
         matrix = (matrices.get(transfer.transfer_id)
                   if matrices is not None else None)
         if matrix is not None:
@@ -828,6 +841,10 @@ def solve_scalar(problem: ChainProblem, pruning: bool
     # itself works on plain ints.
     memo: dict[tuple[int, Optional[int], int], tuple] = {}
 
+    # ``best_from`` reaches itself through its own closure cell — a
+    # reference cycle that would keep the rows, memo and problem alive
+    # until a cyclic GC pass.  The ``finally`` below empties that cell,
+    # so reference counting frees everything at return.
     def best_from(index: int, prev_node_id: Optional[int], ready: int,
                   allowance: float) -> tuple[float, int, bool]:
         """Min (cost, finish, exact) for chain[index:], data-ready at
@@ -909,7 +926,7 @@ def solve_scalar(problem: ChainProblem, pruning: bool
                 fit_key = (node_id, version, duration, end_bound)
                 fits = fit_cache.get(fit_key)
                 if fits is None:
-                    fits = ([], [])
+                    fits = []
                     fit_cache[fit_key] = fits
                 row[8] = fits
             if fits is None:
@@ -917,10 +934,10 @@ def solve_scalar(problem: ChainProblem, pruning: bool
                 start = calendar.earliest_fit(
                     duration, earliest=start_bound, deadline=end_bound)
             else:
-                keys, starts = fits
-                position = bisect_right(keys, start_bound) - 1
+                half = len(fits) >> 1
+                position = bisect_right(fits, start_bound, 0, half) - 1
                 if position >= 0 and (
-                        (cached := starts[position]) is None
+                        (cached := fits[half + position]) is None
                         or start_bound <= cached):
                     start = cached
                     if perf_on:
@@ -931,8 +948,8 @@ def solve_scalar(problem: ChainProblem, pruning: bool
                     # lint: scalar-fallback (witness miss; answer cached)
                     start = calendar.earliest_fit(
                         duration, earliest=start_bound, deadline=end_bound)
-                    keys.insert(position + 1, start_bound)
-                    starts.insert(position + 1, start)
+                    fits.insert(half + position + 1, start)
+                    fits.insert(position + 1, start_bound)
             if start is None:
                 continue
             end = start + duration
@@ -997,8 +1014,11 @@ def solve_scalar(problem: ChainProblem, pruning: bool
         return best_cost, best_finish, exact
 
     release = problem.release
-    total_cost, finish, _ = best_from(
-        0, None, release, problem.allowance if pruning else _INFINITY)
+    try:
+        total_cost, finish, _ = best_from(
+            0, None, release, problem.allowance if pruning else _INFINITY)
+    finally:
+        del best_from
     if total_cost == _INFINITY:
         return None, evaluations
 

@@ -384,6 +384,9 @@ class Job:
         """
         paths: list[list[str]] = []
 
+        # ``descend`` reaches itself through its closure cell; the
+        # ``finally`` empties the cell so no reference cycle outlives
+        # the call.
         def descend(task_id: str, prefix: list[str]) -> None:
             if len(paths) >= limit:
                 return
@@ -395,8 +398,11 @@ class Job:
             for succ in successors:
                 descend(succ, prefix)
 
-        for source in self.sources():
-            descend(source, [])
+        try:
+            for source in self.sources():
+                descend(source, [])
+        finally:
+            del descend
         return paths
 
     def chain_length(self, chain: Sequence[str], performance: float = 1.0,

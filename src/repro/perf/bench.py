@@ -44,7 +44,12 @@ timings.  Workloads that run through a
 context's own per-cache view (entries, capacities, eviction policies)
 under ``context.<workload>`` — the unified ``context.stats()`` surface
 the refactor consolidated the cache inventory behind.
-``compare_reports`` diffs two reports for the CI regression gates.
+The same pass is watched by a :mod:`gc` callback probe: ``gc`` reports,
+per workload, the cyclic collector's passes per generation and the
+host seconds they took, so the share of a run spent in cyclic
+collection is a reported number.
+``compare_reports`` diffs two reports for the CI regression gates;
+it reads only the timed ``seconds``.
 
 Workload imports are lazy: the kernel imports :mod:`repro.perf` for the
 ``PERF`` registry, so this module must not import the kernel at module
@@ -53,9 +58,11 @@ scope.
 
 from __future__ import annotations
 
+import gc
 import platform
 import time
-from typing import Any, Callable, Iterable, Optional
+from contextlib import contextmanager
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .registry import PERF, derive_cache_stats
 
@@ -83,6 +90,32 @@ def _best_of(fn: Callable[[], Any], repeats: int) -> float:
         if elapsed < best:
             best = elapsed
     return best
+
+
+@contextmanager
+def _gc_probe() -> Iterator[dict[str, Any]]:
+    """Count the cyclic GC's passes per generation, and their host
+    seconds, while the block runs; the yielded dict is filled at exit."""
+    passes = [0] * len(gc.get_count())
+    seconds = started = 0.0
+
+    def callback(phase: str, info: dict[str, Any]) -> None:
+        nonlocal seconds, started
+        if phase == "start":
+            started = time.perf_counter()  # lint: perf-timer — GC time
+        else:
+            seconds += time.perf_counter() - started  # lint: perf-timer
+            passes[info["generation"]] += 1
+
+    result: dict[str, Any] = {}
+    gc.callbacks.append(callback)
+    try:
+        yield result
+    finally:
+        gc.callbacks.remove(callback)
+        result["passes"] = {f"gen{generation}": count
+                            for generation, count in enumerate(passes)}
+        result["seconds"] = round(seconds, 6)
 
 
 #: Names of the pinned workloads, in report order.
@@ -368,12 +401,15 @@ def run_kernel_bench(jobs: int = 60, seed: int = 2009, repeats: int = 3,
     merged_counters: dict[str, int] = {}
     merged_timers: dict[str, float] = {}
     report["context"] = {}
+    report["gc"] = {}
     for name in BENCH_WORKLOADS:
         if name not in selected:
             continue
         with PERF.collecting() as registry:
-            instrumented[name][0]()
+            with _gc_probe() as collected:
+                instrumented[name][0]()
             snapshot = registry.snapshot()
+        report["gc"][name] = collected
         for counter, value in snapshot["counters"].items():
             merged_counters[counter] = (
                 merged_counters.get(counter, 0) + int(value))

@@ -96,6 +96,8 @@ def intree_job(depth: int = 2, base_time: int = 2,
     transfers: list[DataTransfer] = []
     index = 0
 
+    # ``build`` reaches itself through its closure cell; the ``finally``
+    # empties the cell so no reference cycle outlives the call.
     def build(level: int) -> str:
         """Create the subtree reducing into one task; returns its id."""
         nonlocal index
@@ -111,7 +113,10 @@ def intree_job(depth: int = 2, base_time: int = 2,
                     base_time=transfer_time))
         return task_id
 
-    build(depth)
+    try:
+        build(depth)
+    finally:
+        del build
     job = Job(job_id, tasks, transfers, deadline=0)
     return Job(job_id, tasks, transfers,
                deadline=deadline if deadline is not None

@@ -61,6 +61,20 @@ def test_run_kernel_bench_workload_filter():
         run_kernel_bench(repeats=1, workloads=["calendar_ops", "nope"])
 
 
+def test_run_kernel_bench_reports_gc_per_workload():
+    report = run_kernel_bench(repeats=1, workloads=["calendar_ops",
+                                                    "critical_works_fig2"])
+    assert set(report["gc"]) == {"calendar_ops", "critical_works_fig2"}
+    for entry in report["gc"].values():
+        assert set(entry["passes"]) == {"gen0", "gen1", "gen2"}
+        assert all(isinstance(count, int) and count >= 0
+                   for count in entry["passes"].values())
+        assert entry["seconds"] >= 0.0
+    # The Fig. 2 repetitions allocate enough to trigger young passes.
+    assert report["gc"]["critical_works_fig2"]["passes"]["gen0"] > 0
+    json.dumps(report)
+
+
 def test_compare_reports_flags_only_regressions():
     baseline = make_report(a=1.0, b=1.0, c=1.0)
     current = make_report(a=1.5, b=1.1, c=0.5)
