@@ -128,13 +128,12 @@ _BLOCKING_PREFIXES = ("subprocess.", "requests.", "shutil.")
 _PAIRED_SUFFIXES = ("_hits", "_misses", "_evictions")
 
 #: Attribute names holding per-shard collections (REP007/REP008): a
-#: subscript into one of these selects ONE shard's private state
-#: (its planner, context, replica calendars).  Mutating or cache-reading
-#: through such a subscript outside the merge/arbitration seam is how
-#: shard isolation silently breaks.
+#: subscript into one of these selects ONE shard's private state (its
+#: planner, context).  Mutating or cache-reading through such a
+#: subscript outside the merge/arbitration seam is how shard isolation
+#: silently breaks.
 _SHARD_COLLECTIONS = frozenset({
-    "shards", "planners", "shard_planners", "replicas",
-    "shard_contexts",
+    "shards", "planners", "shard_planners", "shard_contexts",
 })
 
 #: Mutating method names for the shard-crossing check (REP007): the
@@ -146,9 +145,9 @@ _SHARD_MUTATOR_METHODS = _MUTATOR_METHODS | frozenset({
 })
 
 #: Function-name substrings that mark the sanctioned seam (REP007/
-#: REP008): commit/merge/arbitration/sync functions own cross-shard
-#: state by design.
-_SHARD_SEAM_TOKENS = ("commit", "merge", "arbitrat", "sync", "seam")
+#: REP008): commit/merge/arbitration functions own cross-shard state
+#: by design.
+_SHARD_SEAM_TOKENS = ("commit", "merge", "arbitrat", "seam")
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +460,11 @@ def check_shared_mutable_state(model: ModuleModel
     module_scope = model.symbols.module_scope
 
     # Shard-isolation pass: state selected through a per-shard
-    # collection subscript (``planners[i].context...``, ``replicas[s]
-    # ...``) is one shard's private world; mutating it from a function
-    # outside the commit/merge/arbitration/sync seam means two shards
-    # can observe each other mid-window — the exact coupling the
-    # sharded engine's bit-identity depends on never happening.
+    # collection subscript (``planners[i].context...``) is one shard's
+    # private world; mutating it from a function outside the
+    # commit/merge/arbitration seam means two shards can observe each
+    # other mid-window — the exact coupling the sharded engine's
+    # determinism depends on never happening.
     def crossing(node: ast.AST, collection: str, how: str
                  ) -> LintViolation:
         return _finding(

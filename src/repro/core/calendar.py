@@ -120,39 +120,6 @@ class ReservationCalendar:
         for reservation in sorted(reservations, key=lambda r: r.start):
             self.reserve(reservation.start, reservation.end, reservation.tag)
 
-    @classmethod
-    def from_busy(cls, starts: Iterable[int], ends: Iterable[int],
-                  tag: str = "") -> "ReservationCalendar":
-        """Bulk-load a calendar from sorted, disjoint busy intervals.
-
-        ``starts``/``ends`` are parallel sequences (for example the
-        busy spans recovered from a :class:`GapTable`: reservation *k*
-        spans ``[gap_end[k], gap_start[k+1])``).  Builds the internal
-        lists in one pass — O(n) instead of the O(n log n) bisect
-        inserts (plus per-insert ``is_free`` checks) that feeding
-        :meth:`reserve` would cost — which is what makes worker-side
-        replica reconstruction affordable at shard-sync time.  The
-        intervals must already be start-sorted and non-overlapping;
-        a violated precondition raises :class:`ReservationConflict`.
-        """
-        reservations: list[Reservation] = []
-        previous_end: Optional[int] = None
-        for start, end in zip(starts, ends):
-            reservation = Reservation(int(start), int(end), tag)
-            if previous_end is not None and reservation.start < previous_end:
-                raise ReservationConflict(
-                    f"bulk intervals out of order or overlapping at "
-                    f"[{reservation.start}, {reservation.end})")
-            previous_end = reservation.end
-            reservations.append(reservation)
-        calendar = cls.__new__(cls)
-        calendar._reservations = reservations
-        calendar._starts = [r.start for r in reservations]
-        calendar._shared = False
-        # lint: shared-state — process-local version source (see __init__)
-        calendar._version = next(_VERSION_CLOCK)
-        return calendar
-
     @property
     def version(self) -> int:
         """Monotonic content epoch; equal versions ⇒ identical contents.

@@ -738,12 +738,11 @@ def merged_context_stats(
     """One ``stats()`` view over the per-shard contexts of a sharded run.
 
     Hit/miss/repair numbers come from the perf counter snapshot, which
-    already aggregates every shard (workers fold their deltas into the
-    parent registry), so they are taken from a single :meth:`~
-    SchedulingContext.stats` call — reading them per shard would
-    multiply-count.  Structural numbers (entries, capacities,
-    evictions, skeleton and struct counts) are per-context storage and
-    are summed across shards.
+    is process-global and so already aggregates every shard; they are
+    taken from a single :meth:`~SchedulingContext.stats` call — reading
+    them per shard would multiply-count.  Structural numbers (entries,
+    capacities, evictions, skeleton and struct counts) are per-context
+    storage and are summed across shards.
     """
     if not contexts:
         raise ValueError("merged_context_stats needs at least one context")

@@ -9,12 +9,11 @@ module answers the question for *every* candidate row of a task — and
 every pending DP state — in one numpy sweep over the stacked
 :class:`~repro.core.calendar.GapTable` arrays of the rows' calendars.
 
-The caching layers that used to live here — per-version gap tables and
-version-tuple-keyed stacked arrays — moved to
+This module holds the pure, in-process array kernels only.  Caching
+per-version gap tables and stacked arrays is the job of
 :class:`repro.core.context.SchedulingContext` (``gap_table`` /
-``cached_stack`` / ``stack_gap_tables`` methods), which bounds them
-with per-entry LRU eviction and reports them through
-``context.stats()``.  This module keeps the pure array kernels only.
+``cached_stack`` / ``stack_gap_tables``), which bounds them with
+per-entry LRU eviction and reports them through ``context.stats()``.
 
 Counters: ``placement.batch_queries`` (kernel invocations) and
 ``placement.rows_per_batch`` (total query rows — the batching factor
@@ -28,16 +27,14 @@ it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..perf import PERF
 from .calendar import GapTable
 
-__all__ = ["batch_earliest_fit", "table_earliest_fit", "StackedGaps",
-           "SharedGapHandle", "SharedGapExport", "attach_gap_tables"]
+__all__ = ["batch_earliest_fit", "table_earliest_fit", "StackedGaps"]
 
 #: Offset separating consecutive rows' gap-end keys in one stacked
 #: array, so a single global ``searchsorted`` resolves every row's
@@ -120,131 +117,6 @@ def batch_earliest_fit(stacked: StackedGaps, row_index: np.ndarray,
     ok = start + duration <= deadline
     out[ok] = start[ok]
     return out
-
-
-@dataclass(frozen=True)
-class SharedGapHandle:
-    """Picklable descriptor of a shared-memory gap-table export.
-
-    Ships to worker processes instead of the arrays themselves: the
-    block name plus per-node layout metadata is all a worker needs to
-    attach zero-copy views (:func:`attach_gap_tables`).  ``counts[i]``
-    is the number of gaps (including the open-ended sentinel) of node
-    ``node_ids[i]``; its rows live at ``offsets[i] : offsets[i] +
-    counts[i]`` in the two stacked int64 arrays of the block.
-    """
-
-    name: str
-    node_ids: Tuple[int, ...]
-    offsets: Tuple[int, ...]
-    counts: Tuple[int, ...]
-    versions: Tuple[int, ...]
-    last_ends: Tuple[int, ...]
-
-
-class SharedGapExport:
-    """Gap tables of several calendars, exported to shared memory.
-
-    Lays the tables out as two concatenated int64 rows (gap starts,
-    gap ends) in one ``multiprocessing.shared_memory`` block, so worker
-    processes attach read-only numpy views instead of unpickling array
-    copies.  The exporting process owns the block: call :meth:`close`
-    (which also unlinks) exactly once, after every consumer is done.
-
-    Exports are snapshots — they are *not* updated when the source
-    calendars mutate.  The sharding engine rebuilds an export only on
-    epoch change (when the pending commit-delta log outgrows its
-    bound); between exports, workers catch up from the delta log.
-    """
-
-    def __init__(self, tables: Mapping[int, GapTable]) -> None:
-        from multiprocessing import shared_memory
-
-        node_ids = tuple(tables)
-        counts = tuple(
-            int(tables[nid].gap_start.shape[0]) for nid in node_ids)
-        offsets: list[int] = []
-        total = 0
-        for count in counts:
-            offsets.append(total)
-            total += count
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=max(16, 2 * total * 8))
-        block = np.ndarray((2, total), dtype=np.int64, buffer=self._shm.buf)
-        for nid, offset, count in zip(node_ids, offsets, counts):
-            table = tables[nid]
-            block[0, offset:offset + count] = table.gap_start
-            block[1, offset:offset + count] = table.gap_end
-        self.handle = SharedGapHandle(
-            name=self._shm.name,
-            node_ids=node_ids,
-            offsets=tuple(offsets),
-            counts=counts,
-            versions=tuple(int(tables[nid].version) for nid in node_ids),
-            last_ends=tuple(int(tables[nid].last_end) for nid in node_ids))
-        self._closed = False
-
-    def close(self) -> None:
-        """Release and unlink the block (idempotent).
-
-        On Linux, unlinking while workers still hold attachments is
-        safe — their mappings stay valid until they close.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        self._shm.close()
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already unlinked
-            pass
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<SharedGapExport {self.handle.name}: "
-                f"{len(self.handle.node_ids)} nodes>")
-
-
-class AttachedGapTables:
-    """Worker-side zero-copy view of a :class:`SharedGapExport`.
-
-    ``tables`` maps node id to a :class:`GapTable` whose arrays are
-    views into the shared block (read-only; ``gap_len`` is the only
-    locally materialized array).  Keep this object alive as long as
-    the tables are in use — it owns the attachment — and :meth:`close`
-    it before attaching a successor export.
-    """
-
-    def __init__(self, handle: SharedGapHandle) -> None:
-        from multiprocessing import shared_memory
-
-        self._shm = shared_memory.SharedMemory(name=handle.name)
-        total = sum(handle.counts)
-        block = np.ndarray((2, total), dtype=np.int64, buffer=self._shm.buf)
-        block.flags.writeable = False
-        self.tables: dict[int, GapTable] = {}
-        for nid, offset, count, version, last_end in zip(
-                handle.node_ids, handle.offsets, handle.counts,
-                handle.versions, handle.last_ends):
-            gap_start = block[0, offset:offset + count]
-            gap_end = block[1, offset:offset + count]
-            self.tables[nid] = GapTable(
-                version=version, gap_start=gap_start,
-                gap_len=gap_end - gap_start, gap_end=gap_end,
-                last_end=last_end)
-        self._closed = False
-
-    def close(self) -> None:
-        """Drop the table views and detach from the block (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        self.tables.clear()
-        self._shm.close()
-
-
-def attach_gap_tables(handle: SharedGapHandle) -> AttachedGapTables:
-    """Attach a worker-side view of an exported gap-table set."""
-    return AttachedGapTables(handle)
 
 
 def table_earliest_fit(table: GapTable, duration: int, earliest: int = 0,

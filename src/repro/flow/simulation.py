@@ -78,6 +78,13 @@ class OnlineConfig:
         if self.plan_latency < 0:
             raise ValueError(
                 f"plan_latency must be >= 0, got {self.plan_latency}")
+        if not 0 <= self.busy_fraction < 1:
+            raise ValueError(
+                f"busy_fraction must lie in [0, 1), got {self.busy_fraction}")
+        if self.background_burst < 1:
+            raise ValueError(
+                f"background_burst must be positive, "
+                f"got {self.background_burst}")
 
 
 @dataclass

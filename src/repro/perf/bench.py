@@ -283,17 +283,17 @@ def run_kernel_bench(jobs: int = 60, seed: int = 2009, repeats: int = 3,
         simulation.run()
 
     # The scale scenario: 10^5 arrivals from a 3-template mix through
-    # the sharded batch engine over a 12-domain / 48-node pool, in the
-    # in-process lane (workers=1 — the speedup is semantic: each job
-    # only meets its own shard's domains, and each shard's plan cache
-    # serves a narrower working set).  The ``shards=1`` reference run
-    # below measures the same stream planned against the whole VO.
+    # the sharded batch engine over a 12-domain / 48-node pool.  The
+    # speedup is semantic: each job only meets its own shard's domains,
+    # and each shard's plan cache serves a narrower working set.  The
+    # ``shards=1`` reference run below measures the same stream planned
+    # against the whole VO.
     if shards < 1:
         raise ValueError(f"shards must be positive, got {shards}")
     sharded_weights = (5.0, 3.0, 1.0)
     sharded_config = ShardedConfig(
         jobs=100_000 if sharded_jobs is None else sharded_jobs,
-        mean_interarrival=0.02, window=16, shards=shards, workers=1)
+        mean_interarrival=0.02, window=16, shards=shards)
     sharded_pool = generate_pool(streams.stream("bench.sharded_pool"),
                                  WorkloadConfig(pool_size=(48, 48)),
                                  domains=12)
@@ -336,7 +336,6 @@ def run_kernel_bench(jobs: int = 60, seed: int = 2009, repeats: int = 3,
             "mean_interarrival": sharded_config.mean_interarrival,
             "window": sharded_config.window,
             "shards": shards,
-            "workers": sharded_config.workers,
             "domains": 12,
             "pool_nodes": len(sharded_pool),
             "template_weights": list(sharded_weights),

@@ -7,10 +7,6 @@ one the PR-2 study runner established: tasks are pure functions of
 their item (all randomness forked from ``(seed, name, index)``), so
 results can be yielded in submission order and any worker count is
 bit-identical to the sequential path.
-
-The long-lived sharded engine (``repro.flow.sharded``) keeps its own
-executor: it needs per-process initializers and shared-memory calendar
-exports, a different seam from the fire-and-merge fan-out here.
 """
 
 from __future__ import annotations

@@ -176,13 +176,10 @@ def generate_pool(rng: np.random.Generator,
 class TemplateWorkload:
     """A skewed template workload: few job classes, many arrivals.
 
-    A picklable ``job_factory(rng, index) -> Job`` for
+    A ``job_factory(rng, index) -> Job`` for
     :class:`~repro.flow.simulation.OnlineSimulation` and the sharded
-    batch lane (worker processes regenerate their jobs from indices, so
-    the factory must cross process boundaries — the reason this is a
-    class and not a closure).  Construction is deterministic in its
-    arguments: every unpickled copy rebuilds the same templates,
-    so parent and workers clone identical jobs.
+    batch lane.  Construction is deterministic in its arguments: two
+    factories built from the same arguments clone identical jobs.
 
     Each arrival picks a template with probability proportional to its
     weight and is cloned under its own ``job_id`` — so arrivals of the
@@ -224,13 +221,6 @@ class TemplateWorkload:
             acc += weight / total
             self.cumulative.append(acc)
 
-    def __reduce__(self):
-        # Rebuild from the defining arguments on unpickle: Job objects
-        # themselves are cheaper to regenerate than to serialize, and
-        # determinism guarantees an identical reconstruction.
-        return (type(self), (self.weights, self.template_seed, self.config,
-                             self.owner))
-
     def __call__(self, rng: np.random.Generator, index: int) -> Job:
         draw = float(rng.random())
         chosen = self.templates[-1]
@@ -245,7 +235,7 @@ def template_workload_factory(weights: tuple[float, ...],
                               template_seed: int = 7,
                               config: Optional[WorkloadConfig] = None,
                               owner: str = "user") -> TemplateWorkload:
-    """The (picklable) template workload; see :class:`TemplateWorkload`."""
+    """The template workload; see :class:`TemplateWorkload`."""
     return TemplateWorkload(weights, template_seed, config, owner)
 
 

@@ -529,7 +529,7 @@ def test_rep007_shard_crossing_mutation_caught():
 
     write = ("class Engine:\n"
              "    def route(self, i, cal):\n"
-             "        self.replicas[i].calendars[3] = cal\n")
+             "        self.planners[i].calendars[3] = cal\n")
     assert len(run(write, path=FLOW, only="REP007")) == 1
 
     reserve = ("def steal(shards, i, start, end):\n"
@@ -542,10 +542,18 @@ def test_rep007_shard_mutation_in_seam_is_fine():
             "    def _commit_window(self, i, entry):\n"
             "        self.planners[i].context.plans.store(entry)\n"
             "    def _merge_results(self, i, delta):\n"
-            "        self.planners[i].context.plans.adopt(delta)\n"
-            "    def _sync_replica(self, i, cal):\n"
-            "        self.replicas[i].calendars[3] = cal\n")
+            "        self.planners[i].context.plans.adopt(delta)\n")
     assert run(seam, path=FLOW, only="REP007") == []
+
+
+def test_rep007_sync_is_not_a_seam():
+    """Planning is in-process, so no replica sync owns shard state."""
+    sync = ("class Engine:\n"
+            "    def _sync_planner(self, i, cal):\n"
+            "        self.planners[i].calendars[3] = cal\n")
+    found = run(sync, path=FLOW, only="REP007")
+    assert len(found) == 1
+    assert "planners" in found[0].message
 
 
 def test_rep007_shard_reads_and_other_collections_are_fine():

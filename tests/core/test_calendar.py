@@ -209,31 +209,6 @@ def test_versions_are_globally_unique():
     assert first.version != second.version
 
 
-def test_from_busy_bulk_load_matches_reserve():
-    starts, ends = [0, 10, 30], [5, 12, 31]
-    bulk = ReservationCalendar.from_busy(starts, ends, tag="bg")
-    incremental = ReservationCalendar()
-    for start, end in zip(starts, ends):
-        incremental.reserve(start, end, tag="bg")
-    assert [(r.start, r.end, r.tag) for r in bulk.reservations] == [
-        (r.start, r.end, r.tag) for r in incremental.reservations]
-    assert bulk.earliest_fit(4) == incremental.earliest_fit(4)
-
-
-def test_from_busy_accepts_back_to_back_and_empty():
-    touching = ReservationCalendar.from_busy([0, 5], [5, 9])
-    assert [(r.start, r.end) for r in touching.reservations] == [
-        (0, 5), (5, 9)]
-    assert ReservationCalendar.from_busy([], []).reservations == []
-
-
-def test_from_busy_rejects_overlap_and_disorder():
-    with pytest.raises(ReservationConflict):
-        ReservationCalendar.from_busy([0, 3], [5, 9])
-    with pytest.raises(ReservationConflict):
-        ReservationCalendar.from_busy([10, 0], [12, 5])
-
-
 def test_release_prefix_removes_all_matches_in_one_pass():
     calendar = ReservationCalendar()
     calendar.reserve(0, 2, tag="j1:t1")

@@ -13,6 +13,8 @@ booking tags each commit leaves on the calendars.
 
 import hashlib
 
+import pytest
+
 from repro.core.strategy import StrategyType
 from repro.flow.sharded import ShardedConfig, ShardedSimulation
 from repro.flow.simulation import OnlineConfig, OnlineSimulation
@@ -23,6 +25,12 @@ from repro.workload.generator import template_workload_factory
 
 SHARDED_DIGEST = (
     "af0b365f8b9261c8785a775ea6c0cc83c42ef8f26f90fed99806cca48b1cc9d4")
+#: Per shard count; ``SHARDED_DIGEST`` is the two-shard run.
+SHARDED_DIGESTS = {
+    1: "7a7ac2e3c7bdcf38edd745c3ca137299cec7a4d96251b281adaa65f0af3908ae",
+    2: SHARDED_DIGEST,
+    4: "7ca4b73e42bb48d8e071819a26d5327d52286ff84f8a2f9e5d865bcbc365a193",
+}
 ONLINE_DIGEST = (
     "cd6e8fa4e7c38fd2eddfd623f3b31dbcced9311eb27ae2dabcb70585396c4d68")
 
@@ -32,15 +40,16 @@ def pool_24(seed, **kwargs):
                          WorkloadConfig(pool_size=(24, 24)), **kwargs)
 
 
-def test_sharded_digest_is_pinned():
+@pytest.mark.parametrize("shards", sorted(SHARDED_DIGESTS))
+def test_sharded_digest_is_pinned(shards):
     config = ShardedConfig(jobs=150, mean_interarrival=0.05, window=4,
-                           shards=2, workers=1, sync_interval=8)
+                           shards=shards)
     simulation = ShardedSimulation(
         pool_24(42, domains=6), seed=7, config=config,
         job_factory=template_workload_factory((5.0, 3.0, 1.0)))
     simulation.run()
     assert any(o.replans > 0 for o in simulation.outcomes)
-    assert simulation.digest() == SHARDED_DIGEST
+    assert simulation.digest() == SHARDED_DIGESTS[shards]
 
 
 def test_online_decision_digest_is_pinned(monkeypatch):

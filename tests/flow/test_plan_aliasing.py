@@ -170,7 +170,7 @@ def test_sharded_siblings_bind_only_at_commit(monkeypatch):
     pool = generate_pool(RandomStreams(42).stream("pool"),
                          WorkloadConfig(pool_size=(24, 24)), domains=6)
     config = ShardedConfig(jobs=300, mean_interarrival=0.05, window=4,
-                           shards=2, workers=1, sync_interval=8)
+                           shards=2)
     simulation = ShardedSimulation(
         pool, seed=7, config=config,
         job_factory=template_workload_factory((5.0, 3.0, 1.0)))

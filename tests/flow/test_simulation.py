@@ -19,6 +19,12 @@ def test_config_validation():
         OnlineConfig(mean_interarrival=0)
     with pytest.raises(ValueError):
         OnlineConfig(stypes=())
+    with pytest.raises(ValueError, match="busy_fraction"):
+        OnlineConfig(busy_fraction=-0.5)
+    with pytest.raises(ValueError, match="busy_fraction"):
+        OnlineConfig(busy_fraction=1.0)
+    with pytest.raises(ValueError, match="background_burst"):
+        OnlineConfig(background_burst=0)
 
 
 def test_outcome_slack():

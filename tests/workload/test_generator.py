@@ -137,19 +137,3 @@ def test_jobs_have_positive_volumes_and_times():
         for transfer in job.transfers:
             assert transfer.base_time >= 1
             assert transfer.volume > 0
-
-
-def test_template_workload_pickles_for_process_fanout():
-    """Worker processes receive the factory by pickle (the sharded
-    engine's _WorkerSpec); the round-tripped copy must draw the exact
-    same jobs."""
-    import pickle
-
-    factory = template_workload_factory((0.7, 0.3))
-    copy = pickle.loads(pickle.dumps(factory))
-    for index in range(20):
-        job = factory(np.random.default_rng(index), index)
-        twin = copy(np.random.default_rng(index), index)
-        assert twin.job_id == job.job_id
-        assert twin.structural_hash == job.structural_hash
-        assert twin.shape_hash == job.shape_hash
