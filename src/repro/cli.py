@@ -35,6 +35,14 @@ __all__ = ["main", "build_parser", "DEFAULT_STORE"]
 DEFAULT_STORE = ".repro-store"
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -71,30 +79,22 @@ def build_parser() -> argparse.ArgumentParser:
     perf = commands.add_parser(
         "perf",
         help="run the pinned kernel benchmark (repro.perf)")
-    perf.add_argument("--jobs", type=int, default=60,
+    perf.add_argument("--jobs", type=_positive_int, default=60,
                       help="study jobs in the pinned workload (default 60)")
     perf.add_argument("--seed", type=int, default=2009)
-    perf.add_argument("--repeats", type=int, default=3,
-                      help="timing repetitions per workload (best-of)")
-    perf.add_argument("--workers", type=int, default=1, metavar="N",
-                      help="worker processes for the study workload")
-    perf.add_argument("--shards", type=int, default=4, metavar="N",
-                      help="shard count for the online_sharded workload "
-                           "(its shards=1 baseline and the resulting "
-                           "speedup are measured in the same report)")
+    perf.add_argument("--shards", type=_positive_int, default=4,
+                      metavar="N",
+                      help="shard count for the online_sharded workload")
     perf.add_argument("--json", metavar="PATH", default=None,
                       help="write the benchmark report as JSON to PATH")
     perf.add_argument("--compare", metavar="BASELINE", default=None,
-                      help="compare against a committed BENCH_*.json "
-                           "baseline (warn-only unless --strict)")
-    perf.add_argument("--threshold", type=float, default=None,
-                      help="fractional slowdown tolerated before a "
-                           "workload is flagged (default 0.30)")
+                      help="fail on any count, param or schema that "
+                           "differs from a committed BENCH_*.json baseline")
     perf.add_argument("--strict", action="store_true",
-                      help="exit non-zero when a workload regressed")
+                      help="also fail when an online workload's plan-cache "
+                           "reuse rate is below its floor")
     perf.add_argument("--workloads", metavar="NAME", nargs="+", default=None,
-                      help="run only the named pinned workloads (CI gates "
-                           "strictly on the fast micro scenarios this way)")
+                      help="run only the named pinned workloads")
     perf.add_argument("--profile", metavar="NAME", default=None,
                       help="run one pinned workload under cProfile and "
                            "print the top 25 functions by cumulative "
@@ -244,24 +244,21 @@ def _run_analyze(skip_strategies: bool = False,
 
 
 def _run_perf(args: argparse.Namespace) -> int:
-    """Run the pinned kernel benchmark; optionally compare to a baseline.
+    """Run the pinned kernel benchmark; optionally gate its counts.
 
-    The comparison is warn-only by default so CI noise cannot break a
-    build; ``--strict`` turns regressions into a non-zero exit.
+    ``--compare`` exits 1 on any count, param or schema that differs
+    from the baseline; ``--strict`` exits 1 on a plan-cache floor.
     """
     import json
 
-    from .perf import (compare_reports, format_comparison, run_kernel_bench)
-    from .perf.bench import DEFAULT_THRESHOLD, check_plan_floors
+    from .perf import compare_counts, run_kernel_bench
+    from .perf.bench import check_plan_floors
 
     if args.profile is not None:
         return _profile_workload(args)
 
     report = run_kernel_bench(jobs=args.jobs, seed=args.seed,
-                              repeats=args.repeats,
-                              workers=args.workers or None,
-                              workloads=args.workloads,
-                              shards=args.shards)
+                              workloads=args.workloads, shards=args.shards)
     print(json.dumps(report, indent=2))
 
     if args.json is not None:
@@ -271,22 +268,22 @@ def _run_perf(args: argparse.Namespace) -> int:
 
     # The reuse-rate floors need no baseline: they gate an absolute
     # property of the run (the plan cache actually serving the online
-    # scenarios), so --strict enforces them even without --compare.
-    floor_failures = check_plan_floors(report) if args.strict else []
-    for failure in floor_failures:
-        print(f"plan-cache floor violated: {failure}")
-
-    if args.compare is None:
-        return 1 if floor_failures else 0
-    with open(args.compare, encoding="utf-8") as handle:
-        baseline = json.load(handle)
-    threshold = (args.threshold if args.threshold is not None
-                 else DEFAULT_THRESHOLD)
-    rows = compare_reports(baseline, report, threshold=threshold)
-    print()
-    print(format_comparison(rows, threshold=threshold))
-    regressed = any(row["regressed"] for row in rows)
-    return 1 if ((regressed and args.strict) or floor_failures) else 0
+    # scenarios).
+    failures: list[str] = []
+    if args.strict:
+        failures += [f"plan-cache floor violated: {failure}"
+                     for failure in check_plan_floors(report)]
+    if args.compare is not None:
+        with open(args.compare, encoding="utf-8") as handle:
+            baseline = json.load(handle)
+        differences = compare_counts(baseline, report)
+        failures += [f"count differs: {difference}"
+                     for difference in differences]
+        if not differences:
+            print(f"every count equals {args.compare}")
+    for failure in failures:
+        print(failure)
+    return 1 if failures else 0
 
 
 def _profile_workload(args: argparse.Namespace) -> int:
@@ -308,8 +305,7 @@ def _profile_workload(args: argparse.Namespace) -> int:
         return 2
     profiler = cProfile.Profile()
     profiler.enable()
-    run_kernel_bench(jobs=args.jobs, seed=args.seed, repeats=1,
-                     workers=args.workers or None, workloads=[name],
+    run_kernel_bench(jobs=args.jobs, seed=args.seed, workloads=[name],
                      shards=args.shards)
     profiler.disable()
     stats = pstats.Stats(profiler)

@@ -24,7 +24,6 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
-from ..perf import PERF
 from .calendar import ReservationCalendar
 from .collisions import Collision
 from .context import SchedulingContext
@@ -421,24 +420,23 @@ class StrategyGenerator:
         # agree on nodes, so the incumbent prunes hard while leaving the
         # outcomes bit-identical.
         warm_hint: Optional[Mapping[str, int]] = None
-        with PERF.timer("strategy.generate"):
-            for level in spec.levels:
-                hint = warm_hint
-                if hint is None and seed_hints is not None and self.warm_start:
-                    # Repair seed: the stale sibling's assignment for
-                    # this same level (adjacent-level hints from *this*
-                    # run always take precedence — they saw the current
-                    # calendars).
-                    hint = seed_hints.get(level)
-                outcome = scheduler.build_schedule(
-                    scheduled_job, calendars, level=level, release=release,
-                    warm_hint=hint)
-                expense += outcome.evaluations
-                schedules.append(
-                    SupportingSchedule(level=level, outcome=outcome))
-                if self.warm_start and outcome.distribution is not None:
-                    warm_hint = {p.task_id: p.node_id
-                                 for p in outcome.distribution}
+        for level in spec.levels:
+            hint = warm_hint
+            if hint is None and seed_hints is not None and self.warm_start:
+                # Repair seed: the stale sibling's assignment for
+                # this same level (adjacent-level hints from *this*
+                # run always take precedence — they saw the current
+                # calendars).
+                hint = seed_hints.get(level)
+            outcome = scheduler.build_schedule(
+                scheduled_job, calendars, level=level, release=release,
+                warm_hint=hint)
+            expense += outcome.evaluations
+            schedules.append(
+                SupportingSchedule(level=level, outcome=outcome))
+            if self.warm_start and outcome.distribution is not None:
+                warm_hint = {p.task_id: p.node_id
+                             for p in outcome.distribution}
 
         return Strategy(job=job, scheduled_job=scheduled_job, stype=stype,
                         schedules=schedules, generation_expense=expense)

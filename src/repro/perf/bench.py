@@ -1,7 +1,8 @@
-"""Pinned kernel benchmark: fixed workloads, JSON reports, comparison.
+"""Pinned kernel benchmark: fixed workloads, exact counts, count gate.
 
-``run_kernel_bench`` times seven seeded, deterministic workloads that
-together cover the scheduling kernel's hot paths:
+``run_kernel_bench`` runs seven seeded, deterministic workloads that
+together cover the scheduling kernel's hot paths, each once under its
+own :meth:`~repro.perf.registry.PerfRegistry.collecting` scope:
 
 ``study_fig3a``
     The Fig. 3a application-level study at a pinned scale — strategy
@@ -23,33 +24,30 @@ together cover the scheduling kernel's hot paths:
     The plan-reuse scenario: >10³ template-skewed arrivals (two job
     classes at 70/30) through a dense flash-crowd window, where the
     flow layer's semantic plan keys turn most commits into exact cache
-    hits or warm repairs.  The strict perf gate floors this workload's
+    hits or warm repairs.  The strict gate floors this workload's
     ``flow.plan_cache`` reuse rate (``PLAN_CACHE_FLOORS``).
 ``online_sharded``
     The scale scenario: 10^5 template-mixed arrivals through the
     domain-sharded batch engine
     (:class:`~repro.flow.sharded.ShardedSimulation`) at the pinned
-    shard count (``--shards``, default 4) over a 12-domain pool.  The
-    same run is repeated once at ``shards=1`` and the entry records
-    ``baseline_shards1_seconds`` and ``speedup_vs_shards1`` — the
-    wall-clock payoff of planning each arrival against its own shard's
-    domains only.  Also floored by ``PLAN_CACHE_FLOORS``.
+    shard count (``--shards``, default 4) over a 12-domain pool.  Also
+    floored by ``PLAN_CACHE_FLOORS``.
 
-The report also embeds a merged :class:`~repro.perf.registry.
-PerfRegistry` snapshot of one instrumented pass over every selected
-workload plus derived per-cache hit rates (``caches``), so counter
-drift (e.g. a cache that stopped hitting) is visible next to the
-timings.  Workloads that run through a
+Every workload's entry in the report holds its pinned ``params`` and
+the exact :data:`~repro.perf.registry.PERF` ``counters`` of its run.
+The runs are seeded discrete-event computations, so the counts repeat
+exactly on any machine; ``compare_counts`` diffs them against a
+committed baseline and any difference fails ``repro perf --compare``.
+Nothing here reads a clock: wall time is measured by the repository
+benchmark (``perfbench/``), which times the same program from outside.
+
+Workloads that run through a
 :class:`~repro.core.context.SchedulingContext` additionally report the
 context's own per-cache view (entries, capacities, eviction policies)
-under ``context.<workload>`` — the unified ``context.stats()`` surface
-the refactor consolidated the cache inventory behind.
-The same pass is watched by a :mod:`gc` callback probe: ``gc`` reports,
-per workload, the cyclic collector's passes per generation and the
-host seconds they took, so the share of a run spent in cyclic
-collection is a reported number.
-``compare_reports`` diffs two reports for the CI regression gates;
-it reads only the timed ``seconds``.
+under ``context.<workload>``, which the plan-cache floors read.  A
+:mod:`gc` callback probe reports, per workload, the cyclic collector's
+passes per generation under ``gc``; those depend on the allocation
+history of the whole process, so no gate reads them.
 
 Workload imports are lazy: the kernel imports :mod:`repro.perf` for the
 ``PERF`` registry, so this module must not import the kernel at module
@@ -60,51 +58,27 @@ from __future__ import annotations
 
 import gc
 import platform
-import time
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, Optional
 
-from .registry import PERF, derive_cache_stats
+from .registry import PERF
 
 __all__ = ["BENCH_SCHEMA_VERSION", "BENCH_WORKLOADS", "PLAN_CACHE_FLOORS",
-           "run_kernel_bench", "compare_reports", "format_comparison",
-           "check_plan_floors"]
+           "run_kernel_bench", "compare_counts", "check_plan_floors"]
 
-#: Bump when the pinned workloads change incompatibly; comparisons
-#: across schema versions are refused.
-BENCH_SCHEMA_VERSION = 1
-
-#: Default warn threshold: flag a workload slower than baseline by more
-#: than this fraction.  Generous because CI machines are noisy and the
-#: gate is warn-only.
-DEFAULT_THRESHOLD = 0.30
-
-
-def _best_of(fn: Callable[[], Any], repeats: int) -> float:
-    """Minimum wall seconds over ``repeats`` runs (noise floor)."""
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()  # lint: perf-timer — measures the host
-        fn()
-        elapsed = time.perf_counter() - started  # lint: perf-timer
-        if elapsed < best:
-            best = elapsed
-    return best
+#: Bump when the pinned workloads or the report layout change
+#: incompatibly; comparisons across schema versions are refused.
+BENCH_SCHEMA_VERSION = 2
 
 
 @contextmanager
 def _gc_probe() -> Iterator[dict[str, Any]]:
-    """Count the cyclic GC's passes per generation, and their host
-    seconds, while the block runs; the yielded dict is filled at exit."""
+    """Count the cyclic GC's passes per generation while the block
+    runs; the yielded dict is filled at exit."""
     passes = [0] * len(gc.get_count())
-    seconds = started = 0.0
 
     def callback(phase: str, info: dict[str, Any]) -> None:
-        nonlocal seconds, started
-        if phase == "start":
-            started = time.perf_counter()  # lint: perf-timer — GC time
-        else:
-            seconds += time.perf_counter() - started  # lint: perf-timer
+        if phase == "stop":
             passes[info["generation"]] += 1
 
     result: dict[str, Any] = {}
@@ -115,7 +89,6 @@ def _gc_probe() -> Iterator[dict[str, Any]]:
         gc.callbacks.remove(callback)
         result["passes"] = {f"gen{generation}": count
                             for generation, count in enumerate(passes)}
-        result["seconds"] = round(seconds, 6)
 
 
 #: Names of the pinned workloads, in report order.
@@ -157,19 +130,54 @@ def check_plan_floors(report: dict[str, Any]) -> list[str]:
     return failures
 
 
-def run_kernel_bench(jobs: int = 60, seed: int = 2009, repeats: int = 3,
-                     workers: Optional[int] = 1,
+def compare_counts(baseline: dict[str, Any], current: dict[str, Any]
+                   ) -> list[str]:
+    """Every difference between two reports' per-workload counts.
+
+    Returns one human-readable line per difference — empty means the
+    gate passes.  A schema mismatch is one line and nothing else is
+    compared; so is a workload whose params differ, because counts of
+    differently configured runs say nothing about each other.  A
+    counter present on one side only is reported with ``absent`` for
+    the other.  Workloads in the baseline that ``current`` did not run
+    are skipped, so CI and tests can gate subsets; a workload the
+    baseline does not record is a difference.
+    """
+    if baseline.get("schema") != current.get("schema"):
+        return [f"benchmark schema mismatch: baseline "
+                f"{baseline.get('schema')!r}, current "
+                f"{current.get('schema')!r}"]
+    differences: list[str] = []
+    recorded = baseline.get("workloads", {})
+    for name, entry in current.get("workloads", {}).items():
+        base_entry = recorded.get(name)
+        if base_entry is None:
+            differences.append(f"{name}: workload absent from the baseline")
+            continue
+        if base_entry["params"] != entry["params"]:
+            differences.append(
+                f"{name}: params differ: baseline {base_entry['params']}, "
+                f"current {entry['params']}")
+            continue
+        base_counts, counts = base_entry["counters"], entry["counters"]
+        for counter in sorted(set(base_counts) | set(counts)):
+            before = base_counts.get(counter, "absent")
+            after = counts.get(counter, "absent")
+            if before != after:
+                differences.append(f"{name}: {counter}: baseline {before}, "
+                                   f"current {after}")
+    return differences
+
+
+def run_kernel_bench(jobs: int = 60, seed: int = 2009,
                      workloads: Optional[Iterable[str]] = None,
                      shards: int = 4,
                      sharded_jobs: Optional[int] = None) -> dict[str, Any]:
-    """Run the pinned kernel workloads and return a JSON-ready report.
+    """Run the pinned kernel workloads once each; a JSON-ready report.
 
     ``workloads`` restricts the run to a subset of
-    :data:`BENCH_WORKLOADS` (all of them by default) — CI uses this to
-    gate strictly on the fast micro scenarios without paying for the
-    end-to-end ones twice.  ``shards`` pins the shard count of the
-    ``online_sharded`` scenario (its ``shards=1`` baseline is measured
-    inside the same report whenever ``shards != 1``); ``sharded_jobs``
+    :data:`BENCH_WORKLOADS` (all of them by default).  ``shards`` pins
+    the shard count of the ``online_sharded`` scenario; ``sharded_jobs``
     overrides that scenario's pinned 10^5 arrivals — a test-scale knob,
     not something a committed baseline should ever set.
     """
@@ -197,34 +205,37 @@ def run_kernel_bench(jobs: int = 60, seed: int = 2009, repeats: int = 3,
                 f"unknown workload(s) {', '.join(unknown)}; "
                 f"choose from {', '.join(BENCH_WORKLOADS)}")
 
+    # Each runner returns the object whose ``stats(counters)`` gives
+    # the workload's per-cache context view, or None when it schedules
+    # without a SchedulingContext.
     config = ApplicationStudyConfig(seed=seed, n_jobs=jobs)
 
     def study() -> None:
-        application_level_study(config, workers=workers)
+        # In-process: subprocess workers would report into their own
+        # registries, not this one.
+        application_level_study(config, workers=1)
 
     pool, job = fig2_pool(), fig2_job()
-    scheduler = CriticalWorksScheduler(pool)
 
-    def critical_works() -> None:
+    def critical_works() -> Any:
+        scheduler = CriticalWorksScheduler(pool)
         for _ in range(200):
             calendars = {node.node_id: ReservationCalendar()
                          for node in pool}
             scheduler.schedule(job, pool, calendars)
+        return scheduler.context
 
-    def calendar_ops() -> int:
+    def calendar_ops() -> None:
         calendar = ReservationCalendar()
         for index in range(1_000):
             calendar.reserve(index * 5, index * 5 + 3, tag=f"r{index}")
-        hits = 0
         for index in range(2_000):
-            hits += len(calendar.conflicts(index * 2, index * 2 + 4))
+            calendar.conflicts(index * 2, index * 2 + 4)
             calendar.earliest_fit(2, earliest=index, deadline=index + 5_000)
         calendar.copy()
-        return hits
 
-    # Strategy generation over loaded calendars: built once, reused by
-    # every repetition (the generator itself is fresh per run, so its
-    # warm-start/fit-cache state always starts cold).
+    # Strategy generation over loaded calendars, through one generator
+    # whose warm-start/fit-cache state starts cold.
     sgen_jobs, sgen_stypes, sgen_busy = 30, 3, 0.5
     streams = RandomStreams(seed)
     sgen_rng = streams.stream("bench.sgen")
@@ -233,19 +244,13 @@ def run_kernel_bench(jobs: int = 60, seed: int = 2009, repeats: int = 3,
     sgen_env = GridEnvironment(sgen_pool)
     sgen_env.apply_background_load(sgen_rng, sgen_busy, 400)
 
-    last_sgen_context: list[Any] = [None]
-
-    def strategy_generation() -> int:
+    def strategy_generation() -> Any:
         generator = StrategyGenerator(sgen_pool)
-        last_sgen_context[0] = generator.context
-        expense = 0
         for batch_job in sgen_batch:
             for stype in (StrategyType.S1, StrategyType.S2,
                           StrategyType.MS1):
-                strategy = generator.generate(batch_job, sgen_env.snapshot(),
-                                              stype)
-                expense += strategy.generation_expense
-        return expense
+                generator.generate(batch_job, sgen_env.snapshot(), stype)
+        return generator.context
 
     # plan_latency > 0 separates planning from commitment on the DES
     # clock, so commitment conflicts (and the epoch-aware replans that
@@ -254,13 +259,12 @@ def run_kernel_bench(jobs: int = 60, seed: int = 2009, repeats: int = 3,
                                  busy_fraction=0.3, conflict_retries=1,
                                  plan_latency=4)
     online_pool = generate_pool(streams.stream("bench.online_pool"))
-    last_online_context: list[Any] = [None]
 
-    def online_sim() -> None:
+    def online_sim() -> Any:
         simulation = OnlineSimulation(online_pool, seed=seed,
                                       config=online_config)
-        last_online_context[0] = simulation.context
         simulation.run()
+        return simulation.context
 
     # The plan-reuse scenario: a dense flash crowd (~8 arrivals per
     # slot) of two dominant job templates with a long decision lag, so
@@ -273,23 +277,17 @@ def run_kernel_bench(jobs: int = 60, seed: int = 2009, repeats: int = 3,
                                 plan_latency=10,
                                 stypes=(StrategyType.S1, StrategyType.S2))
     large_pool = generate_pool(streams.stream("bench.online_large_pool"))
-    last_large_context: list[Any] = [None]
 
-    def online_large() -> None:
+    def online_large() -> Any:
         simulation = OnlineSimulation(
             large_pool, seed=seed, config=large_config,
             job_factory=template_workload_factory(large_weights))
-        last_large_context[0] = simulation.context
         simulation.run()
+        return simulation.context
 
     # The scale scenario: 10^5 arrivals from a 3-template mix through
-    # the sharded batch engine over a 12-domain / 48-node pool.  The
-    # speedup is semantic: each job only meets its own shard's domains,
-    # and each shard's plan cache serves a narrower working set.  The
-    # ``shards=1`` reference run below measures the same stream planned
-    # against the whole VO.
-    if shards < 1:
-        raise ValueError(f"shards must be positive, got {shards}")
+    # the sharded batch engine over a 12-domain / 48-node pool; each
+    # job only meets its own shard's domains.
     sharded_weights = (5.0, 3.0, 1.0)
     sharded_config = ShardedConfig(
         jobs=100_000 if sharded_jobs is None else sharded_jobs,
@@ -297,19 +295,18 @@ def run_kernel_bench(jobs: int = 60, seed: int = 2009, repeats: int = 3,
     sharded_pool = generate_pool(streams.stream("bench.sharded_pool"),
                                  WorkloadConfig(pool_size=(48, 48)),
                                  domains=12)
-    sharded_factory = template_workload_factory(sharded_weights)
-    last_sharded: list[Any] = [None]
 
-    def online_sharded() -> None:
-        simulation = ShardedSimulation(sharded_pool, seed=seed,
-                                       config=sharded_config,
-                                       job_factory=sharded_factory)
-        last_sharded[0] = simulation
+    def online_sharded() -> Any:
+        # The sharded simulation exposes the same stats(counters)
+        # surface as a context, merged over its per-shard contexts.
+        simulation = ShardedSimulation(
+            sharded_pool, seed=seed, config=sharded_config,
+            job_factory=template_workload_factory(sharded_weights))
         simulation.run()
+        return simulation
 
     runners: dict[str, tuple[Callable[[], Any], dict[str, Any]]] = {
-        "study_fig3a": (study, {"jobs": jobs, "seed": seed,
-                                "workers": workers}),
+        "study_fig3a": (study, {"jobs": jobs, "seed": seed}),
         "critical_works_fig2": (critical_works, {"repetitions": 200}),
         "calendar_ops": (calendar_ops, {"reservations": 1_000,
                                         "queries": 2_000}),
@@ -347,144 +344,19 @@ def run_kernel_bench(jobs: int = 60, seed: int = 2009, repeats: int = 3,
         "schema": BENCH_SCHEMA_VERSION,
         "python": platform.python_version(),
         "workloads": {},
+        "context": {},
+        "gc": {},
     }
     for name in BENCH_WORKLOADS:
         if name not in selected:
             continue
         runner, params = runners[name]
-        entry = {"seconds": round(_best_of(runner, repeats), 6)}
-        entry.update(params)
-        report["workloads"][name] = entry
-
-    if "online_sharded" in report["workloads"] and shards != 1:
-        # The unsharded reference, measured in the same process right
-        # after the sharded runs so the comparison shares every warmup
-        # effect; one pass — it exists to size the speedup, not to be
-        # a low-noise timing of its own.
-        from dataclasses import replace
-
-        reference_config = replace(sharded_config, shards=1)
-
-        def sharded_reference() -> None:
-            ShardedSimulation(sharded_pool, seed=seed,
-                              config=reference_config,
-                              job_factory=sharded_factory).run()
-
-        entry = report["workloads"]["online_sharded"]
-        entry["baseline_shards1_seconds"] = round(
-            _best_of(sharded_reference, 1), 6)
-        entry["speedup_vs_shards1"] = round(
-            entry["baseline_shards1_seconds"] / entry["seconds"], 3)
-
-    # One instrumented pass of every selected workload, each under its
-    # own collection scope: the merged counters document how hard the
-    # kernel worked overall, and workloads that schedule through a
-    # SchedulingContext additionally report that context's unified
-    # per-cache stats (hits/misses from the scoped counters, plus
-    # entries, capacities, and eviction policies from the context).
-    # The study runs in-process here (workers=1) — subprocess workers
-    # report into their own registries, not this one; its generators
-    # (and calendar_ops) are context-free in this report.
-    instrumented = dict(runners)
-    instrumented["study_fig3a"] = (
-        lambda: application_level_study(config, workers=1), {})
-    workload_contexts: dict[str, Callable[[], Any]] = {
-        "critical_works_fig2": lambda: scheduler.context,
-        "strategy_generation": lambda: last_sgen_context[0],
-        "online_sim": lambda: last_online_context[0],
-        "online_large": lambda: last_large_context[0],
-        # The sharded simulation exposes the same stats(counters)
-        # surface as a context, merged over its per-shard contexts.
-        "online_sharded": lambda: last_sharded[0],
-    }
-    merged_counters: dict[str, int] = {}
-    merged_timers: dict[str, float] = {}
-    report["context"] = {}
-    report["gc"] = {}
-    for name in BENCH_WORKLOADS:
-        if name not in selected:
-            continue
         with PERF.collecting() as registry:
             with _gc_probe() as collected:
-                instrumented[name][0]()
-            snapshot = registry.snapshot()
+                context = runner()
+            counters = dict(sorted(registry.counters.items()))
+        report["workloads"][name] = {"params": params, "counters": counters}
         report["gc"][name] = collected
-        for counter, value in snapshot["counters"].items():
-            merged_counters[counter] = (
-                merged_counters.get(counter, 0) + int(value))
-        for timer, seconds in snapshot["timers"].items():
-            merged_timers[timer] = round(
-                merged_timers.get(timer, 0.0) + float(seconds), 6)
-        context = workload_contexts.get(name, lambda: None)()
         if context is not None:
-            report["context"][name] = context.stats(snapshot["counters"])
-    report["counters"] = dict(sorted(merged_counters.items()))
-    report["timers"] = dict(sorted(merged_timers.items()))
-    report["caches"] = derive_cache_stats(merged_counters)
+            report["context"][name] = context.stats(counters)
     return report
-
-
-def compare_reports(baseline: dict[str, Any], current: dict[str, Any],
-                    threshold: float = DEFAULT_THRESHOLD
-                    ) -> list[dict[str, Any]]:
-    """Per-workload comparison rows; ``regressed`` marks slowdowns.
-
-    A workload regresses when its time exceeds the baseline by more
-    than ``threshold`` (fractional).  Workloads present on only one
-    side are skipped.
-    """
-    if baseline.get("schema") != current.get("schema"):
-        raise ValueError(
-            f"benchmark schema mismatch: baseline "
-            f"{baseline.get('schema')!r} vs current {current.get('schema')!r}")
-    rows: list[dict[str, Any]] = []
-    base_workloads = baseline.get("workloads", {})
-    for name, entry in current.get("workloads", {}).items():
-        base_entry = base_workloads.get(name)
-        if base_entry is None:
-            continue
-        base_seconds = float(base_entry["seconds"])
-        seconds = float(entry["seconds"])
-        ratio = seconds / base_seconds if base_seconds > 0 else float("inf")
-        rows.append({
-            "workload": name,
-            "baseline_seconds": base_seconds,
-            "seconds": seconds,
-            "ratio": round(ratio, 3),
-            "regressed": ratio > 1.0 + threshold,
-        })
-    return rows
-
-
-def format_comparison(rows: list[dict[str, Any]],
-                      threshold: float = DEFAULT_THRESHOLD) -> str:
-    """A human-readable table of :func:`compare_reports` rows."""
-    lines = [f"{'workload':<24} {'baseline':>10} {'current':>10} "
-             f"{'ratio':>7}  status"]
-    for row in rows:
-        status = ("REGRESSED" if row["regressed"]
-                  else "ok" if row["ratio"] >= 1.0 else "faster")
-        lines.append(
-            f"{row['workload']:<24} {row['baseline_seconds']:>9.4f}s "
-            f"{row['seconds']:>9.4f}s {row['ratio']:>6.2f}x  {status}")
-    regressed = [row["workload"] for row in rows if row["regressed"]]
-    if regressed:
-        lines.append(f"warning: {len(regressed)} workload(s) slower than "
-                     f"baseline by >{threshold:.0%}: {', '.join(regressed)}")
-    else:
-        lines.append(f"all workloads within {threshold:.0%} of baseline")
-    return "\n".join(lines)
-
-
-def measure_speedup(baseline: dict[str, Any], current: dict[str, Any]
-                    ) -> Optional[float]:
-    """Aggregate speedup (geometric mean of baseline/current ratios)."""
-    rows = compare_reports(baseline, current, threshold=float("inf"))
-    if not rows:
-        return None
-    product = 1.0
-    for row in rows:
-        if row["seconds"] <= 0:
-            return None
-        product *= row["baseline_seconds"] / row["seconds"]
-    return product ** (1.0 / len(rows))

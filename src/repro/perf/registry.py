@@ -1,4 +1,4 @@
-"""A lightweight counter/timer registry for the scheduling kernel.
+"""A lightweight counter registry for the scheduling kernel.
 
 Hot paths report with the pattern::
 
@@ -123,20 +123,17 @@ cache owned by the :class:`~repro.core.context.SchedulingContext`
 (see ``CONTEXT_CACHE_NAMES``); ``tests/perf/test_counter_audit.py``
 enforces the invariant so orphaned pairs cannot accumulate.
 
-Timer names
------------
-
-``strategy.generate``
-    Wall time spent building whole strategies (all levels).
+The registry keeps counts only.  Wall time is measured from outside
+the program by the repository benchmark (``perfbench/``), so no clock
+is read on the kernel's paths.
 """
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from typing import Iterator
 
-__all__ = ["PerfRegistry", "PERF", "cache_stats", "derive_cache_stats"]
+__all__ = ["PerfRegistry", "PERF", "derive_cache_stats"]
 
 
 def derive_cache_stats(counters: dict[str, int]
@@ -146,8 +143,7 @@ def derive_cache_stats(counters: dict[str, int]
     Every counter pair named ``<cache>_hits`` / ``<cache>_misses``
     (either side may be absent and defaults to 0) yields one entry
     ``{<cache>: {"hits": h, "misses": m, "hit_rate": h / (h + m)}}``.
-    Used by the benchmark report and ``repro perf --json`` so cache
-    effectiveness is visible next to the timings.  Each derived name
+    A per-cache summary of any counter snapshot.  Each derived name
     must correspond to a :class:`~repro.core.context.SchedulingContext`
     cache (``CONTEXT_CACHE_NAMES``) — the counter audit test keeps the
     two in lockstep.
@@ -169,21 +165,15 @@ def derive_cache_stats(counters: dict[str, int]
     return stats
 
 
-#: Backwards-compatible alias (pre-PR 5 name).
-cache_stats = derive_cache_stats
-
-
 class PerfRegistry:
-    """Process-global performance counters and phase timers."""
+    """Process-global performance counters."""
 
-    __slots__ = ("enabled", "counters", "timers")
+    __slots__ = ("enabled", "counters")
 
     def __init__(self) -> None:
         #: Hot paths check this flag before reporting; keep it cheap.
         self.enabled: bool = False
         self.counters: dict[str, int] = {}
-        #: Accumulated wall seconds per phase name.
-        self.timers: dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -198,9 +188,8 @@ class PerfRegistry:
         self.enabled = False
 
     def reset(self) -> None:
-        """Drop every counter and timer."""
+        """Drop every counter."""
         self.counters.clear()
-        self.timers.clear()
 
     @contextmanager
     def collecting(self, reset: bool = True) -> Iterator["PerfRegistry"]:
@@ -222,39 +211,17 @@ class PerfRegistry:
         """Add ``amount`` to counter ``name`` (created at zero)."""
         self.counters[name] = self.counters.get(name, 0) + amount
 
-    @contextmanager
-    def timer(self, name: str) -> Iterator[None]:
-        """Accumulate the block's wall time under ``name``.
-
-        Reports only when the registry is enabled at entry, so call
-        sites can use it unconditionally.
-        """
-        if not self.enabled:
-            yield
-            return
-        started = time.perf_counter()  # lint: perf-timer — real elapsed time
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - started  # lint: perf-timer
-            self.timers[name] = self.timers.get(name, 0.0) + elapsed
-
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
 
-    def snapshot(self) -> dict[str, dict[str, float]]:
-        """A JSON-ready copy of the current numbers."""
-        return {
-            "counters": dict(sorted(self.counters.items())),
-            "timers": {name: round(seconds, 6)
-                       for name, seconds in sorted(self.timers.items())},
-        }
+    def snapshot(self) -> dict[str, dict[str, int]]:
+        """A JSON-ready copy of the current counts."""
+        return {"counters": dict(sorted(self.counters.items()))}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "on" if self.enabled else "off"
-        return (f"<PerfRegistry {state}: {len(self.counters)} counters, "
-                f"{len(self.timers)} timers>")
+        return f"<PerfRegistry {state}: {len(self.counters)} counters>"
 
 
 #: The process-global registry the kernel reports into.

@@ -1,4 +1,4 @@
-"""Unit tests for the perf counter/timer registry."""
+"""Unit tests for the perf counter registry."""
 
 import pytest
 
@@ -14,7 +14,6 @@ def registry():
 def test_starts_disabled_and_empty(registry):
     assert not registry.enabled
     assert registry.counters == {}
-    assert registry.timers == {}
 
 
 def test_incr_accumulates(registry):
@@ -22,18 +21,6 @@ def test_incr_accumulates(registry):
     registry.incr("a", 4)
     registry.incr("b")
     assert registry.counters == {"a": 5, "b": 1}
-
-
-def test_timer_accumulates_only_when_enabled(registry):
-    with registry.timer("phase"):
-        pass
-    assert "phase" not in registry.timers  # disabled: no-op
-    registry.enable()
-    with registry.timer("phase"):
-        pass
-    with registry.timer("phase"):
-        pass
-    assert registry.timers["phase"] >= 0.0
 
 
 def test_collecting_restores_prior_state(registry):
@@ -53,12 +40,9 @@ def test_collecting_restores_prior_state(registry):
 def test_snapshot_is_sorted_and_detached(registry):
     registry.incr("z")
     registry.incr("a")
-    registry.enable()
-    with registry.timer("t"):
-        pass
     snapshot = registry.snapshot()
+    assert list(snapshot) == ["counters"]
     assert list(snapshot["counters"]) == ["a", "z"]
-    assert list(snapshot["timers"]) == ["t"]
     snapshot["counters"]["a"] = 999
     assert registry.counters["a"] == 1
 
@@ -83,7 +67,7 @@ def test_kernel_reports_into_global_registry():
 
 
 def test_cache_stats_derives_hit_rates():
-    from repro.perf import cache_stats
+    from repro.perf import derive_cache_stats
 
     counters = {
         "dp.fit_cache_hits": 30,
@@ -91,9 +75,9 @@ def test_cache_stats_derives_hit_rates():
         "flow.plan_cache_misses": 4,   # hits side absent -> 0
         "dp.expansions": 999,          # not a cache pair: ignored
     }
-    stats = cache_stats(counters)
+    stats = derive_cache_stats(counters)
     assert set(stats) == {"dp.fit_cache", "flow.plan_cache"}
     assert stats["dp.fit_cache"] == {
         "hits": 30, "misses": 10, "hit_rate": 0.75}
     assert stats["flow.plan_cache"]["hit_rate"] == 0.0
-    assert cache_stats({}) == {}
+    assert derive_cache_stats({}) == {}
