@@ -27,6 +27,7 @@ import sys
 from typing import Optional, Sequence
 
 from .experiments import EXPERIMENTS, STUDIES
+from .perf.bench import BENCH_WORKLOADS
 
 __all__ = ["main", "build_parser", "DEFAULT_STORE"]
 
@@ -94,8 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also fail when an online workload's plan-cache "
                            "reuse rate is below its floor")
     perf.add_argument("--workloads", metavar="NAME", nargs="+", default=None,
+                      choices=BENCH_WORKLOADS,
                       help="run only the named pinned workloads")
     perf.add_argument("--profile", metavar="NAME", default=None,
+                      choices=BENCH_WORKLOADS,
                       help="run one pinned workload under cProfile and "
                            "print the top 25 functions by cumulative "
                            "time instead of benchmarking")
@@ -296,17 +299,12 @@ def _profile_workload(args: argparse.Namespace) -> int:
     import cProfile
     import pstats
 
-    from .perf.bench import BENCH_WORKLOADS, run_kernel_bench
+    from .perf.bench import run_kernel_bench
 
-    name = args.profile
-    if name not in BENCH_WORKLOADS:
-        known = ", ".join(BENCH_WORKLOADS)
-        print(f"unknown workload {name!r}; choose one of: {known}")
-        return 2
     profiler = cProfile.Profile()
     profiler.enable()
-    run_kernel_bench(jobs=args.jobs, seed=args.seed, workloads=[name],
-                     shards=args.shards)
+    run_kernel_bench(jobs=args.jobs, seed=args.seed,
+                     workloads=[args.profile], shards=args.shards)
     profiler.disable()
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative").print_stats(25)

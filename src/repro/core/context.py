@@ -14,8 +14,9 @@ limit).  :class:`SchedulingContext` owns all of them behind one object:
   clones; see :attr:`~repro.core.calendar.ReservationCalendar.version`)
   for placement state, :meth:`~repro.grid.environment.GridEnvironment.
   epoch_slice` vectors for whole-domain plans, and pure value keys
-  (task, node, level) for durations — so invalidation is never a
-  heuristic: a mutated node simply stops matching its old keys;
+  (task, level, price key) for the DP's per-pool row tables — so
+  invalidation is never a heuristic: a mutated node simply stops
+  matching its old keys;
 * bounded caches evict **per entry, least-recently-used** instead of
   clearing wholesale (the plan-cache thrash fix: a hot key survives a
   flood of unrelated keys);
@@ -23,10 +24,11 @@ limit).  :class:`SchedulingContext` owns all of them behind one object:
   labelled task/transfer/deadline content, excluding the job id and
   owner; see :attr:`~repro.core.job.Job.structural_hash`) and scoped
   by the identity of the transfer model (lags differ across strategy
-  families) and the pool (matrices and rankings are pool-indexed) —
-  template-derived jobs that share a structure share durations, lags,
-  rankings, and path enumerations, and one context stays safe to
-  share across families, domains, and a whole online run;
+  families) and the pool (row tables, matrices and rankings are
+  pool-indexed) — template-derived jobs that share a structure share
+  row tables, lags, rankings, and path enumerations, and one context
+  stays safe to share across families, domains, and a whole online
+  run;
 * the flow layer's plan cache is **two-tier** (:class:`PlanCache`):
   an outer LRU of *plan skeletons* keyed on the job's order- and
   label-independent :attr:`~repro.core.job.Job.shape_hash` plus the
@@ -398,23 +400,12 @@ class SchedulingContext:
         self._stacks: LruCache[Tuple[int, ...], StackedGaps] = LruCache(
             "placement.stack", stack_capacity)
         #: Per-structure caches, LRU-keyed on the job's structural hash
-        #: so template-derived siblings share durations, lags, rankings
-        #: and path enumerations; the inner mapping is keyed on
-        #: (kind, *scope tokens).
+        #: so template-derived siblings share row tables, lags,
+        #: rankings and path enumerations; the inner mapping is keyed
+        #: on (kind, *scope tokens).
         self._struct_caches: LruCache[
             str, Dict[Tuple[object, ...], Dict[Any, Any]]] = LruCache(
                 "job.struct_cache", struct_capacity)
-        #: Cross-call row-price memo for cost models declaring a
-        #: ``price_key`` (see :class:`~repro.core.costs.CostModel`):
-        #: ``(price_key, task volume, duration, node id) -> cost``.
-        #: Keys fully determine the value by the models' declaration,
-        #: so entries never go stale; the key space is the workload's
-        #: (volume, duration, node) diversity, which bounds the memo
-        #: naturally.
-        self.price_memo: Dict[Tuple[object, ...], float] = {}
-        #: Per-pool node-performance vectors, by pool identity token
-        #: (see :meth:`pool_performances`).
-        self._pool_arrays: Dict[int, Any] = {}
         #: Identity tokens for scope objects (transfer models, pools):
         #: id -> (token, weak ref).  Tokens are monotonic and never
         #: reused, so an address recycled by the allocator can never
@@ -458,12 +449,12 @@ class SchedulingContext:
         Caches are keyed on the job's structural hash — the labelled
         task/transfer/deadline content, excluding the job id and owner
         (:attr:`~repro.core.job.Job.structural_hash`) — so every
-        template-derived sibling of one structure shares durations,
+        template-derived sibling of one structure shares row tables,
         lags, matrices, rankings, and paths.  All of these memos are
         functions of exactly that content (plus the scoped models), so
         sharing is exact.  ``scope`` objects (transfer models, pools)
         are resolved to identity tokens: lags depend on the transfer
-        model, matrices and rankings additionally on the pool's node
+        model, row tables, matrices and rankings on the pool's node
         order, so caches of different scopes must never alias.
         """
         per_struct = self._struct_caches.get(job.structural_hash)
@@ -485,24 +476,6 @@ class SchedulingContext:
             per_struct[key] = cache
         return cache
 
-    def pool_performances(self, pool: "ResourcePool") -> Any:
-        """The pool's node-performance vector (float64, pool order).
-
-        Cached by pool identity token: node performances are immutable
-        and a pool's node order is fixed, so the vector is a constant of
-        the pool — yet the DP was rebuilding it on every chain
-        allocation.
-        """
-        token = self.token(pool)
-        array = self._pool_arrays.get(token)
-        if array is None:
-            import numpy as np
-
-            array = np.fromiter((node.performance for node in pool),
-                                dtype=np.float64, count=len(pool))
-            self._pool_arrays[token] = array
-        return array
-
     # ------------------------------------------------------------------
     # Per-job caches consumed by the DP and the critical-works method
     # ------------------------------------------------------------------
@@ -517,10 +490,19 @@ class SchedulingContext:
         """
         return self.job_cache(job, "transfer", model)
 
-    def durations(self, job: "Job"
-                  ) -> Dict[Tuple[str, int, float], int]:
-        """``(task id, node id, level) -> duration`` memo (pure keys)."""
-        return self.job_cache(job, "duration")
+    def row_table(self, job: "Job", pool: "ResourcePool"
+                  ) -> Dict[Tuple[object, ...], List[Any]]:
+        """The DP's per-(task, level) row lists over one pool.
+
+        ``(task id, level) -> durations`` and ``(task id, level,
+        price key) -> prices``, each a list in pool order built in one
+        vectorized sweep (:meth:`~repro.core.job.Task.duration_array`,
+        the cost model's ``task_cost_array``).  Values are indexed by
+        pool position, hence scoped per pool; they live with the job's
+        structure, so template siblings share them and the structure's
+        LRU eviction retires them.
+        """
+        return self.job_cache(job, "rows", pool)
 
     def transfer_matrices(self, job: "Job", model: object,
                           pool: object) -> Dict[str, Any]:
@@ -671,7 +653,7 @@ class SchedulingContext:
             capacity=self.plans.coarse_capacity,
             evictions=self.plans.coarse_evictions)
 
-        sizes = {"transfer": 0, "duration": 0, "matrix": 0, "rank": 0,
+        sizes = {"transfer": 0, "rows": 0, "matrix": 0, "rank": 0,
                  "paths": 0}
         structs = 0
         for per_struct in self._struct_caches.values():
@@ -681,7 +663,7 @@ class SchedulingContext:
                 if isinstance(kind, str) and kind in sizes:
                     sizes[kind] += len(cache)
         shared = {"dp.transfer_cache": "transfer",
-                  "dp.duration_cache": "duration",
+                  "dp.duration_cache": "rows",
                   "critical_works.rank_cache": "rank",
                   "job.paths_cache": "paths"}
         for name, kind in shared.items():

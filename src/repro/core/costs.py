@@ -47,20 +47,20 @@ class CostModel(Protocol):
 
     Time-invariant models may also provide ``task_cost_array(task,
     durations, nodes) -> np.ndarray`` — a vectorized :meth:`task_cost`
-    over per-node reservation lengths.  The batch DP engine uses it to
-    price a task's whole candidate row set in one sweep; the values
+    over per-node reservation lengths — and ``price_key``, a hashable
+    value that, together with ``(task.volume, reservation duration,
+    node)``, fully determines :meth:`task_cost`.  A model with both has
+    its rows priced in the DP's row table
+    (:meth:`~repro.core.context.SchedulingContext.row_table`): one
+    ``task_cost_array`` sweep over the whole pool per (task, level),
+    stored under ``(task id, level, price_key)`` and shared by every
+    later call on the same job structure and pool.  The array values
     must be **bit-identical** to elementwise ``task_cost`` (same float
-    operations in the same order), because warm-started pruning mixes
-    the two.  Models without it are priced through the scalar method.
-
-    Finally, a model may expose ``price_key`` — a hashable value that,
-    together with ``(task.volume, reservation duration, node id)``,
-    fully determines :meth:`task_cost`.  Declaring it lets the DP memo
-    row prices *across* calls in the session context (template-derived
-    siblings re-price the same (volume, duration, node) triples on
-    every replan); the key must change whenever a pricing parameter
-    does, so stateful models expose it as a property over their state.
-    Models without the attribute are priced per call.
+    operations in the same order), and the key must change whenever a
+    pricing parameter does, so stateful models expose it as a property
+    over their state.  Models lacking either are priced row by row
+    through :meth:`task_cost` on first touch, with no reuse across
+    calls.
     """
 
     def task_cost(self, task: Task, placement: Placement,
@@ -111,7 +111,7 @@ class BalancedTimeCost:
 
     @property
     def price_key(self) -> tuple:
-        """Cross-call price-memo scope: tracks the live weight."""
+        """Row-table price key: tracks the live weight."""
         return ("balanced", self.cf_weight)
 
     def task_cost(self, task: Task, placement: Placement,
@@ -145,7 +145,7 @@ class PricedTimeCost:
 
     @property
     def price_key(self) -> tuple:
-        """Cross-call price-memo scope: tracks the live surge factor."""
+        """Row-table price key: tracks the live surge factor."""
         return ("priced", self.surge)
 
     def task_cost(self, task: Task, placement: Placement,

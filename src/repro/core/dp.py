@@ -22,7 +22,10 @@ One call prepares one :class:`ChainProblem` (candidate rows, bounds,
 prices, warm incumbent) and hands it to one of two solvers, picked from
 the input alone: the recursion (:func:`solve_scalar`) or the
 level-synchronous array sweep (:func:`solve_batch`).  Both return
-bit-identical allocations.
+bit-identical allocations.  Row durations and prices are not derived
+per call: they are read by pool position from the context's
+per-(task, level) row table, which the estimation levels, replans and
+template siblings of one job structure share.
 
 Incremental generation (two orthogonal mechanisms, both exact):
 
@@ -62,6 +65,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -81,6 +85,9 @@ __all__ = ["ChainAllocation", "ChainProblem", "allocate_chain",
 
 _INFINITY = float("inf")
 
+#: Sort key of a candidate row by its (start-invariant) price.
+_PRICE = itemgetter(7)
+
 #: Shortest chain routed to the batch solver.  A single-task chain
 #: touches each candidate row exactly once — array setup costs more
 #: than the loop it replaces.
@@ -91,8 +98,7 @@ _BATCH_MIN_CHAIN = 2
 #: states per level that the scalar recursion beats the fixed
 #: per-level cost of the array ops; measured crossover on the bench
 #: scenarios sits around a dozen rows.  The same width gates the
-#: vectorized row pricing of warm starts and the gap-table prebuild
-#: (:func:`materialize_gap_tables`).
+#: gap-table prebuild (:func:`materialize_gap_tables`).
 _BATCH_MIN_ROWS = 12
 
 #: Stride packing a DP state ``(pool position, data-ready slot)`` into
@@ -136,9 +142,15 @@ class ChainProblem:
     ceiling, row_cost, fits]`` — the calendar and its content version
     (the DP never mutates calendars), the task's duration there, the
     external start floor and end ceiling (release, deadline, placed
-    neighbours), then two lazy slots: the start-invariant price, filled
-    on first touch, and the row's interval-witness bucket of the shared
-    fit cache (node, version, duration and ceiling are its key).  It
+    neighbours), the start-invariant price, and the row's
+    interval-witness bucket of the shared fit cache (node, version,
+    duration and ceiling are its key), attached on first touch.
+    Durations and prices are read from the context's per-pool row table
+    (:meth:`~repro.core.context.SchedulingContext.row_table`), so the
+    levels, replans and template siblings of one job structure size and
+    price each (task, level) once per pool; models without a
+    ``price_key`` or a ``task_cost_array`` leave the price slot None
+    and are priced on first touch, uncached across calls.  It
     also holds the per-edge transfer constants and, for hinted calls,
     the warm incumbent: ``pruning``, its value ``allowance``, and
     ``tail_lb[i]``, an admissible lower bound on the primary criterion
@@ -160,18 +172,28 @@ class ChainProblem:
         if objective not in ("cost", "time"):
             raise ValueError(f"unknown objective {objective!r}")
         fixed = fixed or {}
-        for earlier, later in zip(chain, chain[1:]):
-            if job.transfer_between(earlier, later) is None:
+        #: The transfer edge into each chain position (None at 0).
+        self.incoming: list[Optional[DataTransfer]] = [None] * len(chain)
+        for position in range(1, len(chain)):
+            earlier, later = chain[position - 1], chain[position]
+            incoming = job.transfer_between(earlier, later)
+            if incoming is None:
                 raise ValueError(
                     f"chain edge ({earlier!r}, {later!r}) is not in job "
                     f"{job.job_id!r}")
+            self.incoming[position] = incoming
         for task_id in chain:
             if task_id in fixed:
                 raise ValueError(f"chain task {task_id!r} is already placed")
-        nodes = [node for node in pool
-                 if allowed_nodes is None or node.node_id in allowed_nodes]
+        # Pool positions of the allowed nodes: the row table's lists are
+        # indexed by pool position, so a subset reads the same lists.
+        positions: Sequence[int] = range(len(pool))
+        if allowed_nodes is not None:
+            positions = [position
+                         for position, node_id in enumerate(pool.node_ids())
+                         if node_id in allowed_nodes]
         #: A non-empty chain with no allowed node is never solved.
-        self.infeasible = bool(chain) and not nodes
+        self.infeasible = bool(chain) and not positions
         self.job, self.chain, self.pool = job, chain, pool
         self.release, self.context = release, context
         self.transfer_model = transfer_model = (transfer_model
@@ -189,13 +211,13 @@ class ChainProblem:
                                            False))
 
         # Every cache lives in the caller's context, scoped wide enough
-        # to be exact: lags per (job, transfer model), durations per job
-        # (pure value keys), lag matrices per (job, model, pool) — the
+        # to be exact: lags per (job, transfer model), durations and
+        # prices per (job, pool), lag matrices per (job, model, pool) — the
         # batch solver indexes them by pool position, and fetches them
         # only when it builds one (:meth:`lag_matrix`).  Without a
         # context the call runs cacheless: a private lag dict (the DP
         # asks for the same lag once per state expansion), no fit memo,
-        # no batched tables.
+        # no batched tables, a row table private to the call.
         if context is not None:
             self.fit_cache = context.fit_cache
             self.transfer_cache = context.transfer_lags(job, transfer_model)
@@ -204,14 +226,14 @@ class ChainProblem:
             # lint: context-cache (private lag memo of a contextless call)
             self.transfer_cache = {}
 
-        # Models declaring a ``price_key`` are pure functions of
-        # (volume, duration, node), so their row prices memo across
-        # calls in the session context — template siblings re-price the
-        # same triples on every replan otherwise.
-        self.price_key = getattr(cost_model, "price_key", None)
-        self.price_memo = (context.price_memo
-                           if context is not None
-                           and self.price_key is not None else None)
+        # Start-invariant models declaring a ``price_key`` and a
+        # vectorized ``task_cost_array`` price whole rows in the row
+        # table, once per (task, level, price key) and pool; every other
+        # model prices rows lazily, one ``task_cost`` call each (None).
+        self.price_key = (getattr(cost_model, "price_key", None)
+                          if self.invariant_cost
+                          and hasattr(cost_model, "task_cost_array")
+                          else None)
 
         self.tasks = [job.task(task_id) for task_id in chain]
         # Per-position constants, hoisted so each state expansion
@@ -220,17 +242,14 @@ class ChainProblem:
         # co-located): the solvers then compare node ids instead of
         # consulting the transfer cache at all.
         uniform_lag_fn = getattr(transfer_model, "uniform_lag", None)
-        self.incoming: list[Optional[DataTransfer]] = [None] * len(chain)
         self.uniform: list[Optional[int]] = [None] * len(chain)
-        for position in range(1, len(chain)):
-            incoming = job.transfer_between(chain[position - 1],
-                                            chain[position])
-            self.incoming[position] = incoming
-            if uniform_lag_fn is not None:
-                self.uniform[position] = uniform_lag_fn(incoming)
+        if uniform_lag_fn is not None:
+            for position, incoming in enumerate(self.incoming):
+                if incoming is not None:
+                    self.uniform[position] = uniform_lag_fn(incoming)
 
-        self.rows = self._candidate_rows(calendars, nodes, deadline, level,
-                                         fixed, uniform_lag_fn)
+        self.rows = self._candidate_rows(calendars, positions, deadline,
+                                         level, fixed, uniform_lag_fn)
         self.pruning = False
         self.allowance = _INFINITY
         self.tail_lb: list[float] = []
@@ -246,12 +265,22 @@ class ChainProblem:
     # ------------------------------------------------------------------
 
     def _candidate_rows(self, calendars: Mapping[int, ReservationCalendar],
-                        nodes: Sequence[ProcessorNode], deadline: int,
-                        level: float, fixed: Mapping[str, Placement],
+                        positions: Sequence[int],
+                        deadline: int, level: float,
+                        fixed: Mapping[str, Placement],
                         uniform_lag_fn: Optional[Callable[[DataTransfer],
                                                           int]]
                         ) -> list[list[list]]:
         """Candidate rows per chain position (see the class docstring).
+
+        Durations and prices come from the context's row table
+        (:meth:`~repro.core.context.SchedulingContext.row_table`): one
+        list per (task, level) — and per price key — in pool order,
+        built in one vectorized sweep on first use and read by pool
+        position after that.  ``duration_array`` and ``task_cost_array``
+        run the same float ops as ``duration_on`` and ``task_cost``, so
+        table values equal the scalar ones exactly.  Without a context
+        the table is private to the call.
 
         The external bounds (earliest start from already-placed
         predecessors, latest end from the deadline and placed
@@ -263,20 +292,46 @@ class ChainProblem:
         """
         job, pool, release = self.job, self.pool, self.release
         context = self.context
-        duration_cache = (context.durations(job) if context is not None
-                          else None)
-        if context is not None and len(nodes) == len(pool):
-            # ``nodes`` is the whole pool in pool order — the performance
-            # vector is then a constant of the pool, served from the
-            # session context instead of rebuilt per chain.
-            performances = context.pool_performances(pool)
-        else:
-            performances = np.fromiter((node.performance for node in nodes),
-                                       dtype=np.float64, count=len(nodes))
-        node_info = [(node, calendars[node.node_id]) for node in nodes]
+        table = context.row_table(job, pool) if context is not None else {}
+        count_lookups = context is not None and PERF.enabled
+        price_key = self.price_key
+        price_array = getattr(self.cost_model, "task_cost_array", None)
+        performances = None
+        # Per-node columns, zipped in the row loop so that no per-node
+        # tuple is built.
+        nodes: Sequence[ProcessorNode] = pool.nodes
+        node_ids: Sequence[int] = pool.node_ids()
+        if len(positions) < len(pool):
+            nodes = [nodes[position] for position in positions]
+            node_ids = [node.node_id for node in nodes]
+        node_calendars = [calendars[node_id] for node_id in node_ids]
+        versions = [calendar.version for calendar in node_calendars]
         transfer_time = self.transfer_time
+        unpriced: list[Optional[float]] = [None] * len(pool)
         candidates = []
         for task_id, job_task in zip(self.chain, self.tasks):
+            durations = table.get((task_id, level))
+            swept = None
+            if durations is None:
+                if count_lookups:
+                    PERF.incr("dp.duration_cache_misses")
+                if performances is None:
+                    performances = np.fromiter(
+                        (node.performance for node in pool),
+                        dtype=np.float64, count=len(pool))
+                swept = job_task.duration_array(performances, level)
+                durations = table[(task_id, level)] = swept.tolist()
+            elif count_lookups:
+                PERF.incr("dp.duration_cache_hits")
+            prices: Optional[list[Optional[float]]] = None
+            if price_key is not None:
+                prices = table.get((task_id, level, price_key))
+                if prices is None and price_array is not None:
+                    if swept is None:
+                        swept = np.array(durations, dtype=np.int64)
+                    prices = table[(task_id, level, price_key)] = (
+                        price_array(job_task, swept, pool.nodes).tolist())
+
             placed_preds = []
             for pred in job.predecessors(task_id):
                 placed = fixed.get(pred)
@@ -298,99 +353,66 @@ class ChainProblem:
                 placed_succs.append(
                     (placed.start, transfer, pool.node(placed.node_id)))
 
-            # Uniform-lag models (every built-in policy) make the
-            # external bounds node-independent except on the placed
-            # neighbours' own nodes: floor = max(pred end + lag)
-            # everywhere but on a producer's node, where that producer's
-            # lag drops to zero.  Precomputing the shared bound (and the
-            # handful of neighbour node ids needing the exact loop) turns
-            # the per-node work from |preds| transfer lookups into one
-            # dict-free comparison.
-            pred_lags = succ_lags = None
-            if uniform_lag_fn is not None:
-                pred_lags = [(pred_end, uniform_lag_fn(transfer),
-                              src_node.node_id)
-                             for pred_end, transfer, src_node in placed_preds]
-                shared_floor = release
-                for pred_end, lag, _ in pred_lags:
-                    bound = pred_end + lag
-                    if bound > shared_floor:
-                        shared_floor = bound
-                pred_ids = {src_id for _, _, src_id in pred_lags}
-                succ_lags = [(succ_start, uniform_lag_fn(transfer),
-                              dst_node.node_id)
-                             for succ_start, transfer, dst_node
-                             in placed_succs]
-                shared_ceiling = deadline
-                for succ_start, lag, _ in succ_lags:
-                    bound = succ_start - lag
-                    if bound < shared_ceiling:
-                        shared_ceiling = bound
-                succ_ids = {dst_id for _, _, dst_id in succ_lags}
+            # External bounds: one (floor, ceiling) pair every node
+            # shares, and exact pairs for the nodes where it differs.
+            # Uniform-lag models (every built-in policy) make the bounds
+            # node-independent except on the placed neighbours' own
+            # nodes, where that neighbour's lag drops to zero — so only
+            # those few nodes need their own pair, and no per-node
+            # transfer lookup runs.  Other models get an exact pair for
+            # every node, through the transfer-lag memo.
+            shared = (release, deadline)
+            exact: dict[int, tuple[int, int]] = {}
+            if uniform_lag_fn is None:
+                for node, node_id in zip(nodes, node_ids):
+                    floor, ceiling = release, deadline
+                    for end, transfer, src in placed_preds:
+                        bound = end + transfer_time(transfer, src, node)
+                        if bound > floor:
+                            floor = bound
+                    for start, transfer, dst in placed_succs:
+                        bound = start - transfer_time(transfer, node, dst)
+                        if bound < ceiling:
+                            ceiling = bound
+                    exact[node_id] = (floor, ceiling)
+            elif placed_preds or placed_succs:
+                floor, ceiling = release, deadline
+                pred_lags = []
+                for end, transfer, src in placed_preds:
+                    lag = uniform_lag_fn(transfer)
+                    if end + lag > floor:
+                        floor = end + lag
+                    pred_lags.append((end, lag, src.node_id))
+                succ_lags = []
+                for start, transfer, dst in placed_succs:
+                    lag = uniform_lag_fn(transfer)
+                    if start - lag < ceiling:
+                        ceiling = start - lag
+                    succ_lags.append((start, lag, dst.node_id))
+                shared = (floor, ceiling)
+                for _, _, node_id in pred_lags + succ_lags:
+                    floor, ceiling = release, deadline
+                    for end, lag, src_id in pred_lags:
+                        bound = end if src_id == node_id else end + lag
+                        if bound > floor:
+                            floor = bound
+                    for start, lag, dst_id in succ_lags:
+                        bound = start if dst_id == node_id else start - lag
+                        if bound < ceiling:
+                            ceiling = bound
+                    exact[node_id] = (floor, ceiling)
 
-            # Durations are computed for all nodes in one vectorized
-            # sweep the first time a (task, level) misses the shared
-            # cache — online flows see every job cold, so misses arrive
-            # in whole per-task batches.  ``duration_array`` runs the
-            # same float ops as ``duration_on``, so cached and fresh
-            # values agree exactly.
-            task_durations: Optional[list[int]] = None
+            if prices is None:
+                prices = unpriced
             rows = []
-            for position, (node, calendar) in enumerate(node_info):
-                if duration_cache is None:
-                    if task_durations is None:
-                        task_durations = job_task.duration_array(
-                            performances, level).tolist()
-                    duration = task_durations[position]
-                else:
-                    dur_key = (task_id, node.node_id, level)
-                    duration = duration_cache.get(dur_key)
-                    if duration is None:
-                        if PERF.enabled:
-                            PERF.incr("dp.duration_cache_misses")
-                        if task_durations is None:
-                            task_durations = job_task.duration_array(
-                                performances, level).tolist()
-                        duration = task_durations[position]
-                        duration_cache[dur_key] = duration
-                    elif PERF.enabled:
-                        PERF.incr("dp.duration_cache_hits")
-                if pred_lags is None:
-                    floor = release
-                    for pred_end, transfer, src_node in placed_preds:
-                        bound = pred_end + transfer_time(transfer, src_node,
-                                                         node)
-                        if bound > floor:
-                            floor = bound
-                elif node.node_id in pred_ids:
-                    floor = release
-                    for pred_end, lag, src_id in pred_lags:
-                        bound = (pred_end if src_id == node.node_id
-                                 else pred_end + lag)
-                        if bound > floor:
-                            floor = bound
-                else:
-                    floor = shared_floor
-                if succ_lags is None:
-                    ceiling = deadline
-                    for succ_start, transfer, dst_node in placed_succs:
-                        bound = succ_start - transfer_time(transfer, node,
-                                                           dst_node)
-                        if bound < ceiling:
-                            ceiling = bound
-                elif node.node_id in succ_ids:
-                    ceiling = deadline
-                    for succ_start, lag, dst_id in succ_lags:
-                        bound = (succ_start if dst_id == node.node_id
-                                 else succ_start - lag)
-                        if bound < ceiling:
-                            ceiling = bound
-                else:
-                    ceiling = shared_ceiling
+            for position, node, node_id, calendar, version in zip(
+                    positions, nodes, node_ids, node_calendars, versions):
+                floor, ceiling = exact.get(node_id, shared)
+                duration = durations[position]
                 if floor + duration > ceiling:
                     continue
-                rows.append([node, node.node_id, calendar, calendar.version,
-                             duration, floor, ceiling, None, None])
+                rows.append([node, node_id, calendar, version, duration,
+                             floor, ceiling, prices[position], None])
             # An empty row set is kept (not short-circuited) so the DP
             # explores — and counts — exactly the states it always did.
             candidates.append(rows)
@@ -406,13 +428,6 @@ class ChainProblem:
         soundly dropped).
         """
         cost_mode = self.cost_mode
-        if cost_mode:
-            # The incumbent and lower bounds below touch every row's
-            # price; wide row sets are priced in one sweep (narrow ones
-            # on demand — the array round-trip costs more there).
-            for index, rows in enumerate(self.rows):
-                if len(rows) >= _BATCH_MIN_ROWS:
-                    self.price_rows(index)
         incumbent, left_hint = self.greedy_incumbent(hint)
         if incumbent is None and cost_mode:
             # Cheapest-first can paint itself past a tight ceiling; an
@@ -434,13 +449,10 @@ class ChainProblem:
         for position in range(len(self.chain) - 1, -1, -1):
             rows = self.rows[position]
             if cost_mode:
-                # The lower bound needs every row priced (min over the
-                # task's candidates).
-                step = min((r[7] if r[7] is not None
-                            else self.price_row(position, r)
-                            for r in rows), default=_INFINITY)
+                step = min((row[7] for row in self.priced_rows(position)),
+                           default=_INFINITY)
             else:
-                step = min((r[4] for r in rows), default=_INFINITY)
+                step = min((row[4] for row in rows), default=_INFINITY)
             tail_lb[position] = step + tail_lb[position + 1]
         self.tail_lb = tail_lb
 
@@ -474,6 +486,8 @@ class ChainProblem:
         total_cost = 0.0
         left_hint = False
         for index, rows in enumerate(self.rows):
+            if cost_mode:
+                rows = self.priced_rows(index)
             hinted = hint.get(self.chain[index])
             row, end = self._fit_step([r for r in rows if r[1] == hinted],
                                       index, prev_node, ready, False)
@@ -482,16 +496,13 @@ class ChainProblem:
                 if cost_mode and not by_finish:
                     # Start-invariant prices: cheapest-first order,
                     # first feasible row wins the step.
-                    rows = sorted(rows, key=lambda row: (
-                        row[7] if row[7] is not None
-                        else self.price_row(index, row)))
+                    rows = sorted(rows, key=_PRICE)
                 row, end = self._fit_step(rows, index, prev_node, ready,
                                           not cost_mode or by_finish)
                 if row is None:
                     return None, True
             if cost_mode:
-                total_cost += (row[7] if row[7] is not None
-                               else self.price_row(index, row))
+                total_cost += row[7]
             prev_node = row[0]
             ready = end
         return (total_cost if cost_mode else float(ready)), left_hint
@@ -593,47 +604,27 @@ class ChainProblem:
         return start
 
     def price_row(self, index: int, row: list) -> float:
-        """The row's (start-invariant) cost, cached on the row."""
+        """The row's (start-invariant) cost, cached on the row.
+
+        Only rows of models the row table does not price reach here.
+        """
         task = self.tasks[index]
-        if self.price_memo is not None:
-            memo_key = (self.price_key, task.volume, row[4], row[1])
-            row_cost = self.price_memo.get(memo_key)
-            if row_cost is None:
-                row_cost = self.cost_model.task_cost(
-                    task, Placement(task.task_id, row[1], row[5],
-                                    row[5] + row[4]), row[0])
-                self.price_memo[memo_key] = row_cost
-        else:
-            row_cost = self.cost_model.task_cost(
-                task, Placement(task.task_id, row[1], row[5],
-                                row[5] + row[4]), row[0])
-        row[7] = row_cost
+        row[7] = row_cost = self.cost_model.task_cost(
+            task, Placement(task.task_id, row[1], row[5], row[5] + row[4]),
+            row[0])
         return row_cost
 
-    def price_rows(self, index: int) -> None:
-        """Price every row of one chain position that is still unpriced.
+    def priced_rows(self, index: int) -> list:
+        """The rows of one chain position, every one priced.
 
-        Models with a vectorized pricer (``task_cost_array``) fill the
-        whole position in one sweep — elementwise the same float ops as
-        :meth:`price_row`, and ``tolist()`` round-trips float64 exactly,
-        so the values match bit for bit.
+        Table-priced rows arrive priced; the rest are priced here.
         """
         rows = self.rows[index]
-        if all(row[7] is not None for row in rows):
-            return
-        cost_array_fn = getattr(self.cost_model, "task_cost_array", None)
-        if cost_array_fn is None:
+        if self.price_key is None:
             for row in rows:
                 if row[7] is None:
                     self.price_row(index, row)
-            return
-        priced = cost_array_fn(
-            self.tasks[index],
-            np.fromiter((row[4] for row in rows), dtype=np.int64,
-                        count=len(rows)),
-            [row[0] for row in rows])
-        for row, value in zip(rows, priced.tolist()):
-            row[7] = value
+        return rows
 
     def lag_matrix(self, transfer: DataTransfer) -> np.ndarray:
         """The transfer's (pool src × pool dst) lag matrix, memoized in
@@ -770,12 +761,12 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
         The caller's :class:`~repro.core.context.SchedulingContext`,
         which owns every cache this function consults: the
         interval-witness fit cache, the per-(job, model) transfer-lag
-        memo, the per-job duration memo, the per-(job, model, pool)
-        lag matrices of the batch solver, and the gap-table/stack
-        caches.  All exact, so sharing a context across calls, levels,
-        and jobs never changes results — only speed.  ``None`` runs
-        the call cacheless (and scalar: no materialized gap tables
-        exist to batch over).
+        memo, the per-(job, pool) row table of durations and prices,
+        the per-(job, model, pool) lag matrices of the batch solver,
+        and the gap-table/stack caches.  All exact, so sharing a
+        context across calls, levels, and jobs never changes results —
+        only speed.  ``None`` runs the call cacheless (and scalar: no
+        materialized gap tables exist to batch over).
 
         .. versionchanged:: PR 5
            replaces the removed ``fit_cache`` / ``transfer_cache`` /
@@ -1091,9 +1082,9 @@ def solve_batch(problem: ChainProblem, pruning: bool, stacks: list
                                      dtype=np.int64, count=count))
         col_ceiling.append(np.fromiter((row[6] for row in rows),
                                        dtype=np.int64, count=count))
-        problem.price_rows(index)
-        col_cost.append(np.fromiter((row[7] for row in rows),
-                                    dtype=np.float64, count=count))
+        col_cost.append(np.fromiter(
+            (row[7] for row in problem.priced_rows(index)),
+            dtype=np.float64, count=count))
 
     # Forward sweep: enumerate the reachable state level of every
     # position (ready slots per pool position), recording the feasible

@@ -12,12 +12,11 @@ program — wall time is the repository benchmark's (``perfbench/``).
 """
 
 from .bench import BENCH_SCHEMA_VERSION, compare_counts, run_kernel_bench
-from .registry import PERF, PerfRegistry, derive_cache_stats
+from .registry import PERF, PerfRegistry
 
 __all__ = [
     "PERF",
     "PerfRegistry",
-    "derive_cache_stats",
     "BENCH_SCHEMA_VERSION",
     "run_kernel_bench",
     "compare_counts",

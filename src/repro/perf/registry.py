@@ -56,7 +56,11 @@ Counter names reported by the kernel
     Single entries dropped by the fit cache's LRU bound (was a
     wholesale-clear count before the context refactor).
 ``dp.duration_cache_hits`` / ``dp.duration_cache_misses``
-    The context's per-job (task, node, level) duration memo.
+    Lookups of the context's per-pool row table
+    (:meth:`~repro.core.context.SchedulingContext.row_table`), one per
+    (task, level) of a DP call: a hit reads the task's durations (and,
+    for priced models, its prices) for every node of the pool from
+    lists already built; a miss builds them in one vectorized sweep.
 ``dp.warm_fallbacks``
     Warm runs that fell back to a cold pass (defensive; expected 0).
 ``dp.transfer_matrix_builds``
@@ -133,36 +137,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator
 
-__all__ = ["PerfRegistry", "PERF", "derive_cache_stats"]
-
-
-def derive_cache_stats(counters: dict[str, int]
-                       ) -> dict[str, dict[str, float]]:
-    """Derive per-cache hit statistics from ``*_hits``/``*_misses`` pairs.
-
-    Every counter pair named ``<cache>_hits`` / ``<cache>_misses``
-    (either side may be absent and defaults to 0) yields one entry
-    ``{<cache>: {"hits": h, "misses": m, "hit_rate": h / (h + m)}}``.
-    A per-cache summary of any counter snapshot.  Each derived name
-    must correspond to a :class:`~repro.core.context.SchedulingContext`
-    cache (``CONTEXT_CACHE_NAMES``) — the counter audit test keeps the
-    two in lockstep.
-    """
-    names = {name[: -len(suffix)]
-             for name in counters
-             for suffix in ("_hits", "_misses")
-             if name.endswith(suffix)}
-    stats: dict[str, dict[str, float]] = {}
-    for name in sorted(names):
-        hits = int(counters.get(f"{name}_hits", 0))
-        misses = int(counters.get(f"{name}_misses", 0))
-        total = hits + misses
-        stats[name] = {
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": round(hits / total, 4) if total else 0.0,
-        }
-    return stats
+__all__ = ["PerfRegistry", "PERF"]
 
 
 class PerfRegistry:

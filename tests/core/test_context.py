@@ -1,9 +1,9 @@
 """Unit tests for the SchedulingContext session layer.
 
 Covers the LRU primitive (per-entry eviction, recency refresh, the
-plan-cache thrash regression), the identity-token registry, weak
-per-job cache lifetime, content-version keyed placement caches, the
-stats surface, and the Scheduler protocol.
+plan-cache thrash regression), the identity-token registry, LRU
+per-structure cache lifetime, content-version keyed placement caches,
+the stats surface, and the Scheduler protocol.
 """
 
 import gc
@@ -210,11 +210,11 @@ def test_job_caches_shared_across_structural_siblings():
     """Per-structure caches key on content, so a template sibling
     (same tasks/transfers/deadline, different id) shares them."""
     context = SchedulingContext()
-    job = fig2_job()
-    context.durations(job)[("T", 1, 0.0)] = 7
+    job, pool = fig2_job(), fig2_pool()
+    context.row_table(job, pool)[("T", 0.0)] = [7]
     sibling = Job("sibling", job.tasks.values(), job.transfers,
                   deadline=job.deadline)
-    assert context.durations(sibling)[("T", 1, 0.0)] == 7
+    assert context.row_table(sibling, pool)[("T", 0.0)] == [7]
     assert len(context._struct_caches) == 1
 
 
@@ -222,12 +222,13 @@ def test_job_caches_evict_least_recent_structure():
     """The per-structure tier is LRU-bounded, not tied to object
     lifetime: flooding with fresh structures retires the oldest."""
     context = SchedulingContext(struct_capacity=2)
+    pool = fig2_pool()
     stale = _simple_job("stale")
-    context.durations(stale)[("A", 1, 0.0)] = 3
+    context.row_table(stale, pool)[("A", 0.0)] = [3]
     for name in ("x", "y"):
-        context.durations(_simple_job(name))
+        context.row_table(_simple_job(name), pool)
     assert context._struct_caches.get(stale.structural_hash) is None
-    assert context.durations(stale).get(("A", 1, 0.0)) is None
+    assert context.row_table(stale, pool).get(("A", 0.0)) is None
 
 
 def test_job_paths_memoized_per_limit():

@@ -7,10 +7,11 @@ import pytest
 from repro.core.calendar import ReservationCalendar
 from repro.core.context import SchedulingContext
 from repro.core.costs import VolumeOverTimeCost
-from repro.core.dp import allocate_chain
+from repro.core.dp import ChainProblem, allocate_chain, solve_scalar
 from repro.core.job import DataTransfer, Job, Task
 from repro.core.resources import ProcessorNode, ResourcePool
 from repro.core.schedule import Placement
+from repro.core.transfers import NeutralTransferModel
 from repro.perf import PERF
 
 
@@ -126,6 +127,38 @@ def test_fixed_successor_imposes_latest_end():
     assert b.end <= 10
     # And B may not overlap C on the node? The DP does not book, but the
     # caller checks; here node 1 is free before 10 so no clash.
+
+
+class PlainLagModel:
+    """The neutral transfer timing without ``uniform_lag``, so the DP
+    takes the per-node external-bound path."""
+
+    def time(self, transfer, src_node, dst_node):
+        return NeutralTransferModel().time(transfer, src_node, dst_node)
+
+    def estimate(self, transfer):
+        return transfer.base_time
+
+
+def test_external_bounds_agree_with_and_without_uniform_lags():
+    """Placed neighbours on both sides: the shared-bound shortcut of
+    uniform-lag models and the per-node path give the same rows."""
+    job = Job("mid", [Task("A", volume=20, best_time=2),
+                      Task("B", volume=30, best_time=3),
+                      Task("C", volume=10, best_time=1)],
+              [DataTransfer("D1", "A", "B", base_time=2),
+               DataTransfer("D2", "B", "C", base_time=3)], deadline=40)
+    pool = make_pool(1.0, 0.8, 0.5)
+    fixed = {"A": Placement("A", 1, 0, 4), "C": Placement("C", 2, 20, 21)}
+    problems = [ChainProblem(job, ["B"], pool, empty_calendars(pool), 40,
+                             transfer_model=model, fixed=fixed,
+                             context=SchedulingContext())
+                for model in (NeutralTransferModel(), PlainLagModel())]
+    bounds = [[(row[1], row[5], row[6]) for row in problem.rows[0]]
+              for problem in problems]
+    assert bounds[0] == bounds[1]
+    assert bounds[0] == [(1, 4, 17), (2, 6, 20), (3, 6, 17)]
+    assert problems[0].solve(solve_scalar) == problems[1].solve(solve_scalar)
 
 
 def test_release_shifts_everything():

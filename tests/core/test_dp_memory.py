@@ -82,6 +82,26 @@ def test_scalar_allocate_chain_leaves_no_cycles():
         job, chain, pool, calendars, DEADLINE, hint=hint)) == 0
 
 
+def test_row_table_allocate_chain_leaves_no_cycles():
+    """Cold and warm row tables, whole pool and an allowed subset."""
+    pool, calendars, job, chain, hint = chain_setup()
+    allowed = set(pool.node_ids()[::2])
+
+    def run(context, use_hint, subset):
+        return lambda: allocate_chain(job, chain, pool, calendars, DEADLINE,
+                                      hint=hint if use_hint else None,
+                                      allowed_nodes=allowed if subset
+                                      else None,
+                                      context=context)
+
+    for subset in (False, True):
+        for use_hint in (False, True):
+            context = SchedulingContext()
+            assert cyclic_garbage(run(context, use_hint, subset)) == 0
+            assert context.row_table(job, pool)  # the table was built
+            assert cyclic_garbage(run(context, use_hint, subset)) == 0
+
+
 def test_batch_allocate_chain_leaves_no_cycles():
     pool, calendars, job, chain, hint = chain_setup()
 

@@ -158,6 +158,18 @@ def test_cli_perf_rejects_non_positive_counts(option, value, capsys):
     assert "must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--workloads", "--profile"])
+def test_cli_perf_rejects_unknown_workload(option, capsys):
+    """An unknown workload name is a usage error naming the choices,
+    not a traceback from the benchmark runner."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["perf", option, "nope"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'nope'" in err
+    assert "calendar_ops" in err
+
+
 def test_committed_baseline_is_comparable():
     """The committed BENCH_kernel.json is schema-current, records every
     pinned workload's params and counts and no timing, and clears the

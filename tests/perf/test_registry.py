@@ -64,20 +64,3 @@ def test_kernel_reports_into_global_registry():
     before = dict(PERF.counters)
     calendar.conflicts(0, 10)  # disabled again: silent
     assert PERF.counters == before
-
-
-def test_cache_stats_derives_hit_rates():
-    from repro.perf import derive_cache_stats
-
-    counters = {
-        "dp.fit_cache_hits": 30,
-        "dp.fit_cache_misses": 10,
-        "flow.plan_cache_misses": 4,   # hits side absent -> 0
-        "dp.expansions": 999,          # not a cache pair: ignored
-    }
-    stats = derive_cache_stats(counters)
-    assert set(stats) == {"dp.fit_cache", "flow.plan_cache"}
-    assert stats["dp.fit_cache"] == {
-        "hits": 30, "misses": 10, "hit_rate": 0.75}
-    assert stats["flow.plan_cache"]["hit_rate"] == 0.0
-    assert derive_cache_stats({}) == {}
